@@ -3,12 +3,19 @@
 Where A10 vectorized the *models under explanation*, A15 vectorizes the
 *explainers themselves*:
 
-1. arena-wide path-dependent TreeSHAP
+1. leaf-lane path-dependent TreeSHAP
    (:func:`~xaidb.explainers.shapley.tree_shap_kernels.ensemble_path_dependent_shap`)
    explains 10^4 rows of a forest and a GBM >= 5x faster than the
-   retained per-row recursion, bit-identically (the recursion is timed
-   on a subsample and extrapolated by rows/s — at 10^4 rows it would
-   dominate the whole benchmark run);
+   retained per-row recursion
+   (:func:`~xaidb.explainers.shapley.tree.path_dependent_tree_shap`
+   summed over the explainer's terms), bit-identically (the recursion
+   is timed on a subsample and extrapolated by rows/s — at 10^4 rows it
+   would dominate the whole benchmark run).  The same kernel serves
+   small batches: batch-of-one (``explain``) and batch-16 rows time it
+   per row against the recursion, and the batch-of-one kernel must not
+   be slower than the recursion even in the smoke run (the gate
+   ``tools/check.py`` runs).  An unbounded-depth forest at 1,600 rows
+   covers deep trees;
 2. the stacked KernelSHAP batch path
    (:meth:`~xaidb.explainers.shapley.kernel.KernelShapExplainer.explain_batch`)
    clears >= 2x over the retained per-instance pipeline in the
@@ -35,6 +42,7 @@ from xaidb.explainers.shapley import (
     TreeShapExplainer,
 )
 from xaidb.explainers.shapley.coalitions import clear_design_cache
+from xaidb.explainers.shapley.tree import path_dependent_tree_shap
 from xaidb.models import (
     GradientBoostedRegressor,
     LogisticRegression,
@@ -52,6 +60,12 @@ N_REFERENCE_ROWS = 60 if SMOKE else 200
 N_INSTANCES = 24 if SMOKE else 160
 N_BACKGROUND = 20
 N_FEATURES = 8
+#: rows explained one call at a time (batch-of-one) or in calls of
+#: SMALL_BATCH rows, each against the recursion on the same rows
+N_SMALL_ROWS = 32 if SMOKE else 160
+SMALL_BATCH = 16
+#: the unbounded-depth forest workload's row count
+N_DEEP_ROWS = 400 if SMOKE else 1600
 
 MIN_TREE_SPEEDUP = 2.0 if SMOKE else 5.0
 MIN_KERNEL_SPEEDUP = 1.2 if SMOKE else 2.0
@@ -75,36 +89,67 @@ def _fit_models():
         n_estimators=30, max_depth=3, random_state=2
     ).fit(X, y_reg)
     logistic = LogisticRegression(l2=1e-2).fit(X, y_clf)
+    deep = RandomForestClassifier(
+        n_estimators=8, max_depth=None, random_state=3
+    ).fit(X[:400], y_clf[:400])
     X_eval = rng.normal(size=(N_ROWS, N_FEATURES))
-    return forest, gbm, logistic, X_eval
+    return forest, gbm, logistic, deep, X_eval
 
 
-def _tree_shap_workload(label, model, X_eval):
-    """Batch kernel over all rows vs per-row recursion on a subsample,
-    extrapolated to the full row count by rows/s."""
+def _recursion(explainer, x):
+    """The retained per-row recursion summed over the explainer's terms
+    in term order — the "before" path and the exactness oracle."""
+    phi = np.zeros(x.shape[0])
+    for tree, leaf_values, scale in explainer.terms_:
+        phi += scale * path_dependent_tree_shap(
+            tree, leaf_values, x, x.shape[0]
+        )
+    return phi
+
+
+def _tree_shap_workload(label, model, X_eval, batch_size=None):
+    """The kernel vs the per-row recursion on a subsample, extrapolated
+    to the full row count by rows/s.  ``batch_size=None`` explains all
+    rows in one call; otherwise in calls of ``batch_size`` rows
+    (``1`` goes through ``explain``)."""
     explainer = TreeShapExplainer(model)
-    explainer.pack_  # build the arena outside the timed region
-    batch, after_s = _timed(lambda: explainer.explain_batch(X_eval))
+    explainer.explain_batch(X_eval[:1])  # pack and plan outside the timing
+    n_rows = X_eval.shape[0]
+    if batch_size is None:
+        batch, after_s = _timed(lambda: explainer.explain_batch(X_eval))
+    elif batch_size == 1:
+        batch, after_s = _timed(lambda: [explainer.explain(x) for x in X_eval])
+    else:
+        batch, after_s = _timed(
+            lambda: [
+                attribution
+                for start in range(0, n_rows, batch_size)
+                for attribution in explainer.explain_batch(
+                    X_eval[start : start + batch_size]
+                )
+            ]
+        )
 
-    reference_rows = X_eval[:N_REFERENCE_ROWS]
+    n_reference = min(N_REFERENCE_ROWS, n_rows)
+    reference_rows = X_eval[:n_reference]
     per_row, reference_s = _timed(
-        lambda: [explainer.explain(row) for row in reference_rows]
+        lambda: [_recursion(explainer, row) for row in reference_rows]
     )
-    before_s = reference_s * (N_ROWS / N_REFERENCE_ROWS)
+    before_s = reference_s * (n_rows / n_reference)
     identical = all(
-        np.array_equal(batch[i].values, per_row[i].values)
-        for i in range(N_REFERENCE_ROWS)
+        np.array_equal(batch[i].values, per_row[i]) for i in range(n_reference)
     )
     return {
         "label": label,
-        "n_rows": N_ROWS,
+        "n_rows": n_rows,
+        "batch_size": n_rows if batch_size is None else batch_size,
         "before_s": before_s,
         "after_s": after_s,
-        "rows_per_s_before": N_ROWS / before_s,
-        "rows_per_s_after": N_ROWS / after_s,
+        "rows_per_s_before": n_rows / before_s,
+        "rows_per_s_after": n_rows / after_s,
         "speedup": before_s / after_s,
         "identical": bool(identical),
-        "reference_rows_timed": N_REFERENCE_ROWS,
+        "reference_rows_timed": n_reference,
     }
 
 
@@ -146,7 +191,9 @@ def _kernel_shap_workload(label, predict_fn, X_eval, n_coalitions, seed):
 
 
 def compute_rows():
-    forest, gbm, logistic, X_eval = _fit_models()
+    forest, gbm, logistic, deep, X_eval = _fit_models()
+    small = X_eval[:N_SMALL_ROWS]
+    depth = max(tree.tree_.max_depth() for tree in deep.estimators_)
 
     def logistic_predict(Z):
         return logistic.predict_proba(Z)[:, 1]
@@ -157,6 +204,29 @@ def compute_rows():
         ),
         _tree_shap_workload(
             "tree_shap batch, gbm (30 stages)", gbm, X_eval
+        ),
+        _tree_shap_workload(
+            "tree_shap batch-of-one, forest (20 trees)", forest, small, 1
+        ),
+        _tree_shap_workload(
+            "tree_shap batch-of-one, gbm (30 stages)", gbm, small, 1
+        ),
+        _tree_shap_workload(
+            f"tree_shap batch-{SMALL_BATCH}, forest (20 trees)",
+            forest,
+            small,
+            SMALL_BATCH,
+        ),
+        _tree_shap_workload(
+            f"tree_shap batch-{SMALL_BATCH}, gbm (30 stages)",
+            gbm,
+            small,
+            SMALL_BATCH,
+        ),
+        _tree_shap_workload(
+            f"tree_shap batch, unbounded-depth forest (8 trees, depth {depth})",
+            deep,
+            X_eval[:N_DEEP_ROWS],
         ),
         _kernel_shap_workload(
             "kernel_shap stacked, exhaustive (254 masks)",
@@ -211,13 +281,18 @@ def test_a15_explainer_kernels(benchmark):
     workloads = record["workloads"]
     # every vectorized path reproduces its retained reference exactly
     assert all(w["identical"] for w in workloads.values())
-    # arena-wide TreeSHAP clears the acceptance bar on both ensembles
+    # batched TreeSHAP clears the acceptance bar on both ensembles
     assert workloads[
         "tree_shap batch, forest (20 trees)"
     ]["speedup"] >= MIN_TREE_SPEEDUP
     assert workloads[
         "tree_shap batch, gbm (30 stages)"
     ]["speedup"] >= MIN_TREE_SPEEDUP
+    # one kernel serves single rows: at batch one it must not be slower
+    # than the per-row recursion it replaced in ``explain``
+    for label, w in workloads.items():
+        if label.startswith("tree_shap batch-of-one"):
+            assert w["after_s"] <= w["before_s"], label
     # stacked KernelSHAP clears its bar in the exhaustive regime (the
     # serving default for small d) and never regresses when sampling
     exhaustive = workloads["kernel_shap stacked, exhaustive (254 masks)"]

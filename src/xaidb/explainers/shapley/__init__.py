@@ -9,9 +9,10 @@ estimators differ in how they traverse coalitions:
 - :mod:`kernel` — KernelSHAP's weighted-least-squares regression;
 - :mod:`tree` — TreeSHAP's polynomial-time recursion for tree ensembles,
   plus the interventional (background-set) variant;
-- :mod:`tree_shap_kernels` — the arena-wide vectorized TreeSHAP kernels
-  behind :meth:`TreeShapExplainer.explain_batch` (all rows × all trees,
-  bitwise identical to the retained recursion);
+- :mod:`tree_shap_kernels` — the vectorized TreeSHAP kernels behind
+  :meth:`TreeShapExplainer.explain` and ``explain_batch`` (leaf lanes:
+  one computation per distinct leaf hot pattern, bitwise identical to
+  the retained recursion);
 - :mod:`qii` — Quantitative Input Influence set-based measures;
 - :mod:`causal` — asymmetric and causal Shapley values on an SCM;
 - :mod:`flow` — Shapley flow's edge-based credit assignment.

@@ -3,11 +3,14 @@
 
 Two variants, matching the two value functions used in practice:
 
-- **path-dependent** (:meth:`TreeShapExplainer.explain`): the conditional
+- **path-dependent** (:func:`path_dependent_tree_shap`): the conditional
   expectation follows the tree's own cover statistics (``n_node_samples``)
   when a feature is absent.  This is the O(T L D^2) EXTEND/UNWIND
   recursion of Algorithm 2 — the "polynomial-time algorithm that exploits
   properties of the tree structure" the tutorial highlights.
+  :class:`TreeShapExplainer` runs the same arithmetic through the
+  vectorized kernel in :mod:`~xaidb.explainers.shapley.tree_shap_kernels`;
+  the recursion is its exactness oracle.
 - **interventional** (:func:`interventional_tree_shap`): the marginal
   expectation over an explicit background set.  For each background row
   the tree's value function is an AND-game over the features where the
@@ -329,6 +332,7 @@ class TreeShapExplainer(Explainer):
         self.terms_, self.offset_, self.description_ = self._decompose(model)
         self._model = model
         self._pack_cache: "EnsembleKernel | None" = None
+        self._expected_value_cache: float | None = None
 
     @property
     def pack_(self) -> "EnsembleKernel":
@@ -388,15 +392,27 @@ class TreeShapExplainer(Explainer):
 
     # ------------------------------------------------------------------
     def expected_value(self) -> float:
-        """The path-dependent base value: cover-weighted mean output."""
-        total = self.offset_
-        for tree, leaf_values, scale in self.terms_:
-            leaves = tree.leaves()
-            weights = tree.n_node_samples[leaves]
-            total += scale * float(
-                np.average(leaf_values[leaves], weights=weights)
+        """The path-dependent base value: cover-weighted mean output
+        (computed once — tree structures are immutable once fitted)."""
+        if self._expected_value_cache is None:
+            total = self.offset_
+            for tree, leaf_values, scale in self.terms_:
+                leaves = tree.leaves()
+                weights = tree.n_node_samples[leaves]
+                total += scale * float(
+                    np.average(leaf_values[leaves], weights=weights)
+                )
+            self._expected_value_cache = total
+        return self._expected_value_cache
+
+    def _check_width(self, n_features: int, name: str) -> None:
+        """Reject instances whose width differs from the fitted model's."""
+        expected = getattr(self._model, "n_features_in_", None)
+        if expected is not None and n_features != expected:
+            raise ValidationError(
+                f"{name} has {n_features} features; the model was fitted "
+                f"on {expected}"
             )
-        return total
 
     def model_output(self, instance: np.ndarray) -> float:
         """The explained quantity at ``instance``."""
@@ -406,25 +422,17 @@ class TreeShapExplainer(Explainer):
         return total
 
     def explain(self, instance: np.ndarray) -> FeatureAttribution:
-        """Path-dependent TreeSHAP attribution."""
+        """Path-dependent TreeSHAP attribution of one row.
+
+        A batch of one through :meth:`explain_batch`: the leaf-lane
+        kernel has no per-call cost that a single row would have to
+        amortise, so one path serves single rows and whole tables.  The
+        per-row recursion (:func:`path_dependent_tree_shap`, summed over
+        :attr:`terms_`) is the exactness oracle, enforced bitwise in the
+        test-suite.
+        """
         instance = check_array(instance, name="instance", ndim=1)
-        phi = np.zeros(instance.shape[0])
-        for tree, leaf_values, scale in self.terms_:
-            phi += scale * path_dependent_tree_shap(
-                tree, leaf_values, instance, instance.shape[0]
-            )
-        names = self.feature_names or [f"x{i}" for i in range(len(instance))]
-        return FeatureAttribution(
-            feature_names=list(names),
-            values=phi,
-            base_value=self.expected_value(),
-            prediction=self.model_output(instance),
-            metadata={
-                "method": "tree_shap_path_dependent",
-                "output": self.description_,
-                "n_trees": len(self.terms_),
-            },
-        )
+        return self.explain_batch(instance[None])[0]
 
     def explain_batch(
         self,
@@ -434,11 +442,12 @@ class TreeShapExplainer(Explainer):
     ) -> list[FeatureAttribution]:
         """Path-dependent TreeSHAP for a whole batch of rows at once.
 
-        Runs the arena-wide vectorized kernel
+        Runs the leaf-lane kernel
         (:func:`~xaidb.explainers.shapley.tree_shap_kernels.ensemble_path_dependent_shap`)
         over the packed term decomposition; each row's attribution is
-        bitwise identical to :meth:`explain` (the retained recursion is
-        the exactness oracle, enforced in the test-suite).
+        bitwise identical to the retained recursion
+        (:func:`path_dependent_tree_shap` summed over :attr:`terms_` in
+        term order), whatever the rest of the batch holds.
 
         ``seeds`` is accepted for interface parity with the sampled
         explainers' batched entry points (the service dispatcher threads
@@ -452,6 +461,7 @@ class TreeShapExplainer(Explainer):
         del seeds  # deterministic: nothing to seed
         instances = check_array(instances, name="instances", ndim=2)
         n_features = instances.shape[1]
+        self._check_width(n_features, "instances")
         pack = self.pack_
         phi = ensemble_path_dependent_shap(pack, instances, n_features)
         base = self.expected_value()
@@ -493,6 +503,8 @@ class TreeShapExplainer(Explainer):
 
         instance = check_array(instance, name="instance", ndim=1)
         background = check_array(background, name="background", ndim=2)
+        self._check_width(instance.shape[0], "instance")
+        self._check_width(background.shape[1], "background")
         pack = self.pack_
         phi = ensemble_interventional_shap(pack, instance, background)
         base = self.offset_

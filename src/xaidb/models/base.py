@@ -70,6 +70,8 @@ class Model(ABC):
         X = check_array(X, name="X", ndim=2)
         y = check_array(y, name="y", ndim=1)
         check_matching_lengths(("X", X), ("y", y))
+        #: the fitted width; explainers reject instances of any other
+        self.n_features_in_ = X.shape[1]
         return X, y
 
 

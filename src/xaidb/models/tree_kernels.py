@@ -136,6 +136,10 @@ class EnsembleKernel:
         #: per-tree output scales (set by :meth:`for_terms`); ``None``
         #: for inference packs, which apply scales via ``accumulate``
         self.scales: np.ndarray | None = None
+        #: structures derived from the immutable routing arrays, built
+        #: once per pack by the kernels that need them (the TreeSHAP
+        #: lane plans, keyed by tree range)
+        self.plans: dict = {}
         left = []
         right = []
         feature = []

@@ -2,11 +2,12 @@
 
 Three contracts, each pinned bitwise:
 
-- the arena-wide path-dependent TreeSHAP kernel equals the retained
+- the leaf-lane path-dependent TreeSHAP kernel equals the retained
   recursion on every row (random trees depth 0-12 with threshold ties,
-  NaN rows and single-node trees, plus fitted forests and GBMs), and
+  NaN rows and single-node trees, plus fitted forests and GBMs of
+  bounded and unbounded depth), whatever else the batch holds, and
   matches the brute-force Shapley over ``tree_expected_value`` on small
-  trees;
+  trees; ``TreeShapExplainer.explain`` is the same kernel at batch one;
 - the vectorized interventional kernel equals the retained
   per-background recursion;
 - the stacked KernelSHAP batch solve equals the retained per-instance
@@ -36,9 +37,17 @@ from xaidb.explainers.shapley.coalitions import (
     design_cache_info,
     kernel_shap_design,
 )
+from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley.games import CachedGame, Game, MarginalImputationGame
 from xaidb.explainers.shapley.tree import path_dependent_tree_shap, tree_expected_value
-from xaidb.models import RandomForestRegressor
+from xaidb.models import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    GradientBoostedClassifier,
+    GradientBoostedRegressor,
+    RandomForestClassifier,
+    RandomForestRegressor,
+)
 from xaidb.models.tree import TreeStructure, _LEAF
 from xaidb.models.tree_kernels import EnsembleKernel
 from xaidb.runtime import GameRuntime, RuntimeConfig, WorkerPool
@@ -177,6 +186,17 @@ class TestArenaPathDependent:
         assert np.array_equal(whole, blocked)
 
 
+def recursion(explainer, x):
+    """The retained per-row recursion, summed over the explainer's terms
+    in term order: the oracle every kernel output must equal."""
+    phi = np.zeros(x.shape[0])
+    for tree, leaf_values, scale in explainer.terms_:
+        phi += scale * path_dependent_tree_shap(
+            tree, leaf_values, x, x.shape[0]
+        )
+    return phi
+
+
 class TestExplainBatchOnFittedModels:
     def test_forest_batch_bitwise_equals_per_row(self, income, income_forest):
         explainer = TreeShapExplainer(income_forest)
@@ -184,15 +204,18 @@ class TestExplainBatchOnFittedModels:
         batch = explainer.explain_batch(X)
         for i in range(X.shape[0]):
             single = explainer.explain(X[i])
+            assert np.array_equal(batch[i].values, recursion(explainer, X[i]))
             assert np.array_equal(batch[i].values, single.values)
             assert batch[i].base_value == single.base_value
             assert batch[i].prediction == single.prediction
+            assert batch[i].prediction == explainer.model_output(X[i])
 
     def test_gbm_batch_bitwise_equals_per_row(self, income, income_gbm):
         explainer = TreeShapExplainer(income_gbm)
         X = income.dataset.X[:25]
         batch = explainer.explain_batch(X)
         for i in range(X.shape[0]):
+            assert np.array_equal(batch[i].values, recursion(explainer, X[i]))
             assert np.array_equal(
                 batch[i].values, explainer.explain(X[i]).values
             )
@@ -205,9 +228,52 @@ class TestExplainBatchOnFittedModels:
         explainer = TreeShapExplainer(model)
         batch = explainer.explain_batch(X[:15])
         for i in range(15):
+            assert np.array_equal(batch[i].values, recursion(explainer, X[i]))
             assert np.array_equal(
                 batch[i].values, explainer.explain(X[i]).values
             )
+
+    def test_unbounded_depth_forest(self, income):
+        X, y = income.dataset.X, income.dataset.y
+        model = RandomForestClassifier(
+            n_estimators=4, max_depth=None, random_state=5
+        ).fit(X[:300], y[:300])
+        assert max(t.tree_.max_depth() for t in model.estimators_) >= 10
+        explainer = TreeShapExplainer(model)
+        rows = X[300:340]
+        batch = explainer.explain_batch(rows)
+        for i in range(rows.shape[0]):
+            assert np.array_equal(batch[i].values, recursion(explainer, rows[i]))
+
+    def test_batch_composition_does_not_change_rows(self, income, income_forest):
+        explainer = TreeShapExplainer(income_forest)
+        X = income.dataset.X[:30]
+        whole = [a.values.tobytes() for a in explainer.explain_batch(X)]
+        order = np.random.default_rng(8).permutation(X.shape[0])
+        permuted = explainer.explain_batch(X[order])
+        assert [a.values.tobytes() for a in permuted] == [whole[i] for i in order]
+        split = explainer.explain_batch(X[:7]) + explainer.explain_batch(X[7:])
+        assert [a.values.tobytes() for a in split] == whole
+        doubled = explainer.explain_batch(np.vstack([X, X[::3], X[:1]]))
+        assert [a.values.tobytes() for a in doubled] == (
+            whole + whole[::3] + whole[:1]
+        )
+        assert [explainer.explain(x).values.tobytes() for x in X] == whole
+
+    def test_explain_equals_recursion_on_xaibench_scene(self):
+        from benchmarks.xaibench.workloads import Scene
+
+        scene = Scene(tracer=None)
+        rows = np.random.default_rng(13).choice(
+            len(scene.held_out), size=24, replace=False
+        )
+        for name in ("forest", "gbm"):
+            explainer = TreeShapExplainer(scene.models[name])
+            for row in rows:
+                x = scene.held_out[row]
+                assert np.array_equal(
+                    explainer.explain(x).values, recursion(explainer, x)
+                )
 
     def test_batch_metadata_and_seed_tolerance(self, income, income_forest):
         explainer = TreeShapExplainer(income_forest)
@@ -215,6 +281,20 @@ class TestExplainBatchOnFittedModels:
         batch = explainer.explain_batch(X, seeds=[1, 2, 3])
         assert batch[0].metadata["batched"] is True
         assert batch[0].metadata["method"] == "tree_shap_path_dependent"
+
+    def test_expected_value_is_computed_once(
+        self, income, income_forest, monkeypatch
+    ):
+        explainer = TreeShapExplainer(income_forest)
+        first = explainer.explain(income.dataset.X[0]).base_value
+
+        def recompute(tree):
+            raise AssertionError("expected_value recomputed")
+
+        monkeypatch.setattr(TreeStructure, "leaves", recompute)
+        assert explainer.expected_value() == first
+        assert explainer.explain(income.dataset.X[1]).base_value == first
+        assert explainer.explain_batch(income.dataset.X[:3])[2].base_value == first
 
     def test_shap_matrix_routes_bound_explain_through_batch(
         self, income, income_forest
@@ -226,6 +306,52 @@ class TestExplainBatchOnFittedModels:
             [explainer.explain(row).values for row in X]
         )
         assert np.array_equal(routed, per_row)
+
+
+class TestWidthValidation:
+    @pytest.mark.parametrize(
+        "model_class,kwargs",
+        [
+            (DecisionTreeClassifier, {}),
+            (DecisionTreeRegressor, {}),
+            (RandomForestClassifier, {"n_estimators": 2}),
+            (RandomForestRegressor, {"n_estimators": 2}),
+            (GradientBoostedClassifier, {"n_estimators": 2}),
+            (GradientBoostedRegressor, {"n_estimators": 2}),
+        ],
+    )
+    def test_tree_models_record_their_width(self, income, model_class, kwargs):
+        X, y = income.dataset.X[:80], income.dataset.y[:80]
+        model = model_class(max_depth=2, **kwargs).fit(X, y)
+        assert model.n_features_in_ == X.shape[1]
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_explain_rejects_wrong_width(self, income, income_forest, delta):
+        explainer = TreeShapExplainer(income_forest)
+        x = income.dataset.X[0]
+        wrong = np.append(x, 0.0) if delta > 0 else x[:-1]
+        with pytest.raises(ValidationError, match="features"):
+            explainer.explain(wrong)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_explain_batch_rejects_wrong_width(self, income, income_forest, delta):
+        explainer = TreeShapExplainer(income_forest)
+        X = income.dataset.X[:4]
+        wrong = np.hstack([X, X[:, :1]]) if delta > 0 else X[:, :-1]
+        with pytest.raises(ValidationError, match="features"):
+            explainer.explain_batch(wrong)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_explain_interventional_rejects_wrong_width(
+        self, income, income_forest, delta
+    ):
+        explainer = TreeShapExplainer(income_forest)
+        X = income.dataset.X[:6]
+        wrong = np.hstack([X, X[:, :1]]) if delta > 0 else X[:, :-1]
+        with pytest.raises(ValidationError, match="features"):
+            explainer.explain_interventional(wrong[0], X[1:])
+        with pytest.raises(ValidationError, match="features"):
+            explainer.explain_interventional(X[0], wrong[1:])
 
 
 class TestArenaInterventional:

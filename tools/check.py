@@ -36,11 +36,13 @@ Runs, in order, stopping at the first failure:
    interprocedural witnesses;
 8. a smoke run of the A15 explainer-kernel benchmark
    (``benchmarks/bench_a15_explainer_kernels.py``, reduced workloads
-   via ``XAIDB_A15_SMOKE``) — proves the arena-wide TreeSHAP and
+   via ``XAIDB_A15_SMOKE``) — proves the leaf-lane TreeSHAP and
    stacked-KernelSHAP batch paths stay bitwise identical to the
    retained per-row/per-instance references and meaningfully faster,
-   so a regression in the vectorized explainer kernels cannot land
-   silently.
+   and gates the single-row path: the step fails if explaining one row
+   at a time through the TreeSHAP kernel (``explain``, batch of one)
+   takes longer than the per-row recursion, so a fixed per-call cost
+   cannot creep back into ``explain`` silently.
 
 Usage::
 
@@ -230,8 +232,9 @@ _ENV.setdefault("XAIDB_A13_SMOKE", "1")
 _ENV.setdefault("XAIDB_A14_SMOKE", "1")
 
 #: The A15 smoke shrinks every explainer workload, loosens the speedup
-#: bars and skips the BENCH_inference.json write (the committed record
-#: reflects full runs — see the bench module docstring).
+#: bars (except the batch-of-one TreeSHAP gate: kernel no slower than
+#: the recursion) and skips the BENCH_inference.json write (the
+#: committed record reflects full runs — see the bench module docstring).
 _ENV.setdefault("XAIDB_A15_SMOKE", "1")
 
 
