@@ -18,10 +18,11 @@ Where A10 vectorized the *models under explanation*, A15 vectorizes the
    covers deep trees;
 2. the stacked KernelSHAP batch path
    (:meth:`~xaidb.explainers.shapley.kernel.KernelShapExplainer.explain_batch`)
-   clears >= 2x over the retained per-instance pipeline in the
-   exhaustive regime (shared design arena, one base evaluation, no
-   per-instance cache hashing, one Cholesky per mask set) and stays
-   bitwise identical in the sampled regime too.
+   clears >= 2x over the per-instance pipeline — ``explain`` with a
+   cached ``make_runtime`` runtime per instance — in the exhaustive
+   regime (shared design arena, one base evaluation, no per-instance
+   cache hashing, one Cholesky per mask set) and stays bitwise
+   identical in the sampled regime too.
 
 The run merges its workloads into ``benchmarks/BENCH_inference.json``
 under the ``"a15_explainer_kernels"`` key, preserving A10's rows.
@@ -48,6 +49,7 @@ from xaidb.models import (
     LogisticRegression,
     RandomForestClassifier,
 )
+from xaidb.utils.rng import spawn_seeds
 
 SMOKE = os.environ.get("XAIDB_A15_SMOKE", "0") == "1"
 
@@ -154,18 +156,24 @@ def _tree_shap_workload(label, model, X_eval, batch_size=None):
 
 
 def _kernel_shap_workload(label, predict_fn, X_eval, n_coalitions, seed):
-    """Stacked batch vs the retained per-instance pipeline — both paths
-    run in full (no extrapolation) over the same instances and seeds."""
+    """Stacked batch vs the per-instance pipeline — one ``explain`` per
+    instance through its own cached ``make_runtime`` runtime, hashing
+    every mask into a fresh memo cache — both run in full (no
+    extrapolation) over the same instances and seeds."""
     background = X_eval[:N_BACKGROUND]
     instances = X_eval[N_BACKGROUND : N_BACKGROUND + N_INSTANCES]
     clear_design_cache()
     serial_explainer = KernelShapExplainer(
         predict_fn, background, n_coalitions=n_coalitions
     )
+    seeds = spawn_seeds(seed, N_INSTANCES)
     serial, before_s = _timed(
-        lambda: serial_explainer.explain_batch_serial(
-            instances, random_state=seed
-        )
+        lambda: [
+            serial_explainer.explain(
+                x, random_state=s, runtime=serial_explainer.make_runtime(x)
+            )
+            for x, s in zip(instances, seeds)
+        ]
     )
     clear_design_cache()
     stacked_explainer = KernelShapExplainer(

@@ -14,22 +14,25 @@ With few features every coalition is enumerated and the result equals the
 exact Shapley value (up to the background approximation); with many
 features coalitions are sampled in complementary pairs, size-stratified by
 the kernel distribution.
+
+``explain`` and ``explain_batch`` run one pipeline over one
+:class:`~xaidb.runtime.GameRuntime` per instance; ``explain`` is the
+batch of one.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
-from xaidb.explainers.shapley.coalitions import (
-    _sampled_design,
-    kernel_shap_design,
-)
+from xaidb.explainers.shapley.coalitions import kernel_shap_design
 from xaidb.explainers.shapley.games import MarginalImputationGame
 from xaidb.runtime import EvalStats, GameRuntime, RuntimeConfig
-from xaidb.utils.linalg import solve_psd, solve_psd_stacked
-from xaidb.utils.rng import RandomState, check_random_state, spawn_seeds
+from xaidb.utils.linalg import solve_psd_stacked
+from xaidb.utils.rng import RandomState, spawn_seeds
 from xaidb.utils.validation import check_array
 
 __all__ = ["KernelShapExplainer"]
@@ -51,8 +54,11 @@ class KernelShapExplainer(Explainer):
         Tiny ridge stabiliser for the (possibly rank-deficient) sampled
         regression; does not affect the enforced constraints.
     config:
-        Shared-runtime knobs (memo cache, ``max_batch_rows`` chunking);
-        defaults to :class:`~xaidb.runtime.RuntimeConfig`'s defaults.
+        Shared-runtime knobs, defaulting to
+        :class:`~xaidb.runtime.RuntimeConfig`'s defaults.
+        ``max_batch_rows`` chunks every explanation's model calls; the
+        memo cache (``cache``/``max_cache_entries``) applies only to
+        runtimes built by :meth:`make_runtime`.
     """
 
     def __init__(
@@ -91,14 +97,22 @@ class KernelShapExplainer(Explainer):
         its :attr:`~xaidb.runtime.GameRuntime.stats` accumulate across
         those calls while each attribution's metadata reports per-call
         deltas.  ``stats`` threads in an external ledger (e.g. one
-        shared across a batch) instead of a fresh one.
+        shared across a batch) instead of a fresh one.  This is the only
+        way the memo cache reaches KernelSHAP: a single explanation's
+        design is duplicate-free, so only repeated calls can hit.
         """
         instance = check_array(instance, name="instance", ndim=1)
+        return self._runtime(instance, self.config, stats)
+
+    def _runtime(
+        self,
+        instance: np.ndarray,
+        config: RuntimeConfig,
+        stats: EvalStats | None,
+    ) -> GameRuntime:
         return GameRuntime(
-            MarginalImputationGame(
-                self.predict_fn, instance, self.background
-            ),
-            config=self.config,
+            MarginalImputationGame(self.predict_fn, instance, self.background),
+            config=config,
             stats=stats,
         )
 
@@ -109,12 +123,20 @@ class KernelShapExplainer(Explainer):
         random_state: RandomState = None,
         runtime: GameRuntime | None = None,
     ) -> FeatureAttribution:
+        """Explain one instance: :meth:`explain_batch`'s pipeline at
+        batch size one.  Without ``runtime=`` it builds the same
+        uncached runtime the batch builds per row; metadata adds the
+        call's eval-ledger deltas."""
         instance = check_array(instance, name="instance", ndim=1)
         d = instance.shape[0]
         if d < 2:
             raise ValidationError("KernelSHAP needs at least 2 features")
         if runtime is None:
-            runtime = self.make_runtime(instance)
+            # one explanation's design is duplicate-free, so hashing its
+            # masks into a memo cache could never hit
+            runtime = self._runtime(
+                instance, replace(self.config, cache=False), None
+            )
         elif runtime.n_players != d:
             raise ValidationError(
                 f"runtime is for {runtime.n_players} players, instance "
@@ -122,25 +144,9 @@ class KernelShapExplainer(Explainer):
             )
         before = runtime.stats.copy()
         with runtime.stats.timer():
-            base_value = runtime.value(())
-            full_value = runtime.value(range(d))
-            masks, weights = self._coalition_design(d, random_state)
-            values = runtime.values_batch(masks)
-            phi = self._solve(masks, values, weights, base_value, full_value)
-        run_stats = runtime.stats.since(before)
-        names = self.feature_names or [f"x{i}" for i in range(d)]
-        return FeatureAttribution(
-            feature_names=list(names),
-            values=phi,
-            base_value=base_value,
-            prediction=full_value,
-            metadata={
-                "method": "kernel_shap",
-                "n_coalitions": int(masks.shape[0]),
-                "exhaustive": (2**d - 2) <= self.n_coalitions,
-                **run_stats.as_metadata(),
-            },
-        )
+            (attribution,) = self._explain_runtimes([runtime], [random_state])
+        attribution.metadata.update(runtime.stats.since(before).as_metadata())
+        return attribution
 
     # ------------------------------------------------------------------
     def explain_batch(
@@ -151,44 +157,19 @@ class KernelShapExplainer(Explainer):
         seeds: list[int | None] | None = None,
     ) -> list[FeatureAttribution]:
         """Explain many instances in one *stacked* pass — the serving
-        dispatcher's batch entry point.
+        dispatcher's batch entry point, **bitwise identical** to
+        ``explain(instance, random_state=seed)`` per instance.
 
-        Instead of running one full KernelSHAP pipeline per row (the
-        retained :meth:`explain_batch_serial` path), the batch shares
-        everything that is shareable while staying **bitwise identical**
-        to ``explain(instance, random_state=seed)`` per instance:
+        Each row gets an uncached runtime writing into the shared
+        :attr:`batch_stats_` ledger, and the rows share everything that
+        is shareable: coalition designs from the read-only arena, one
+        base evaluation, and one Gram factorization per distinct mask
+        set (see :meth:`_explain_runtimes`).
 
-        - coalition designs come from the shared read-only arena — one
-          design for the whole batch in the exhaustive regime, one per
-          distinct seed otherwise;
-        - the base value ``v(∅)`` (instance-independent: the mean
-          background prediction) is evaluated once, not per row;
-        - per-instance runtime scaffolding is dropped: no coalition
-          cache to hash every mask into, no per-call ledger snapshots —
-          the designs are duplicate-free, so the cache can never hit
-          within one explanation anyway;
-        - the per-instance WLS solves stack onto one shared
-          design/Gram/Cholesky factorization per distinct mask set,
-          substituting column by column
-          (:func:`~xaidb.utils.linalg.solve_psd_stacked`) so each
-          column replays the single-instance ``solve_psd`` exactly.
-
-        Model evaluations deliberately keep the *serial call shapes*:
-        each instance's hybrid matrices go through its own
-        :class:`~xaidb.explainers.shapley.games.MarginalImputationGame`
-        with the same ``max_batch_rows`` chunking the runtime would
-        use, so every ``predict_fn`` call receives a bitwise-equal
-        input array of the same shape as in the serial path.  That is
-        what makes the identity unconditional: coalescing rows *across*
-        instances would change call shapes, and BLAS-backed predictors
-        (``X @ w``) are not bitwise row-stable across shapes.
-
-        All model evaluations land in the shared :attr:`batch_stats_`
-        ledger.  Per-instance metadata carries the design shape
+        Per-instance metadata carries the design shape
         (``method``/``n_coalitions``/``exhaustive``) plus
-        ``"stacked": True``; the per-call eval-ledger deltas of the
-        serial path are not separable once the base evaluation is
-        shared.
+        ``"stacked": True``; per-call eval-ledger deltas are not
+        separable once the base evaluation is shared.
         """
         instances = check_array(instances, name="instances", ndim=2)
         n, d = instances.shape
@@ -202,37 +183,52 @@ class KernelShapExplainer(Explainer):
             )
         stats = EvalStats()
         self.batch_stats_ = stats
-        predict = stats.wrap_predict_fn(self.predict_fn)
-        background = self.background
+        config = replace(self.config, cache=False)  # as in ``explain``
         with stats.timer():
-            designs = [
-                self._coalition_design(d, seeds[i]) for i in range(n)
-            ]
-            games = [
-                MarginalImputationGame(predict, instances[i], background)
-                for i in range(n)
-            ]
-            # v(∅) is the mean background prediction — one evaluation
-            # serves every instance (each serial call scores a
-            # bitwise-equal background copy, so the value is identical).
-            base_value = games[0].value(())
-            full_values = np.asarray(
-                [game.value(range(d)) for game in games]
+            attributions = self._explain_runtimes(
+                [self._runtime(row, config, stats) for row in instances],
+                seeds,
             )
-            coalition_values = [
-                games[i].values_batch(
-                    designs[i][0],
-                    max_batch_rows=self.config.max_batch_rows,
-                )
-                for i in range(n)
-            ]
-            # base (once) + full (per instance) + every design mask
-            stats.n_coalition_evals += 1 + n + sum(
-                masks.shape[0] for masks, _ in designs
-            )
-            phis = self._solve_stacked(
-                designs, coalition_values, base_value, full_values
-            )
+        for attribution in attributions:
+            attribution.metadata["stacked"] = True
+        return attributions
+
+    def _explain_runtimes(
+        self,
+        runtimes: list[GameRuntime],
+        seeds: list[RandomState],
+    ) -> list[FeatureAttribution]:
+        """The one KernelSHAP pipeline, over one runtime per instance.
+
+        1. coalition designs come from the shared read-only arena — one
+           design for the whole batch in the exhaustive regime, one per
+           distinct seed otherwise;
+        2. the base value ``v(∅)`` (instance-independent: the mean
+           background prediction) is evaluated once, on the first
+           runtime — each instance would score a bitwise-equal
+           background copy, so the value is identical;
+        3. ``v(N)`` and the design masks are evaluated per runtime, so
+           every ``predict_fn`` call keeps the input array and shape of
+           a single-instance explanation.  Coalescing rows *across*
+           instances would change call shapes, and BLAS-backed
+           predictors (``X @ w``) are not bitwise row-stable across
+           shapes;
+        4. the constrained WLS solves stack onto one shared Cholesky
+           factorization per distinct mask set (:meth:`_solve_stacked`).
+        """
+        d = runtimes[0].n_players
+        designs = [self._coalition_design(d, seed) for seed in seeds]
+        base_value = runtimes[0].value(())
+        full_values = np.asarray(
+            [runtime.value(range(d)) for runtime in runtimes]
+        )
+        coalition_values = [
+            runtime.values_batch(masks)
+            for runtime, (masks, _) in zip(runtimes, designs)
+        ]
+        phis = self._solve_stacked(
+            designs, coalition_values, base_value, full_values
+        )
         names = self.feature_names or [f"x{i}" for i in range(d)]
         exhaustive = (2**d - 2) <= self.n_coalitions
         return [
@@ -243,48 +239,11 @@ class KernelShapExplainer(Explainer):
                 prediction=float(full_values[i]),
                 metadata={
                     "method": "kernel_shap",
-                    "n_coalitions": int(designs[i][0].shape[0]),
+                    "n_coalitions": int(masks.shape[0]),
                     "exhaustive": exhaustive,
-                    "stacked": True,
                 },
             )
-            for i in range(n)
-        ]
-
-    def explain_batch_serial(
-        self,
-        instances: np.ndarray,
-        *,
-        random_state: RandomState = None,
-        seeds: list[int | None] | None = None,
-    ) -> list[FeatureAttribution]:
-        """The retained per-instance batch path: one fresh game, runtime
-        and WLS solve per row, seeded per instance — the exactness
-        oracle the stacked :meth:`explain_batch` is tested against (and
-        the "before" measurement of benchmark A15).  All runtimes write
-        into one shared :attr:`batch_stats_` ledger; per-call deltas in
-        each attribution's metadata stay exact because
-        :meth:`EvalStats.since` snapshots are taken inside
-        :meth:`explain`.
-        """
-        instances = check_array(instances, name="instances", ndim=2)
-        n = instances.shape[0]
-        if seeds is None:
-            seeds = spawn_seeds(random_state, n)
-        elif len(seeds) != n:
-            raise ValidationError(
-                f"got {len(seeds)} seeds for {n} instances"
-            )
-        self.batch_stats_ = EvalStats()
-        return [
-            self.explain(
-                instances[i],
-                random_state=seeds[i],
-                runtime=self.make_runtime(
-                    instances[i], stats=self.batch_stats_
-                ),
-            )
-            for i in range(n)
+            for i, (masks, _) in enumerate(designs)
         ]
 
     # ------------------------------------------------------------------
@@ -295,11 +254,12 @@ class KernelShapExplainer(Explainer):
         base_value: float,
         full_values: np.ndarray,
     ) -> np.ndarray:
-        """One constrained WLS per instance, sharing the design matrix,
-        Gram matrix and Cholesky factorization across every instance
-        with the same mask set (the arena returns identical objects for
-        identical designs), substituting per column so each solution is
-        bitwise the single-instance :meth:`_solve`."""
+        """Constrained weighted least squares per instance, with the
+        efficiency constraint eliminated onto the last feature.  Every
+        instance with the same mask set (the arena returns identical
+        objects for identical designs) shares the design matrix, Gram
+        matrix and Cholesky factorization, substituting per column so
+        each solution is bitwise the single-RHS ``solve_psd``."""
         n = len(designs)
         d = designs[0][0].shape[1]
         groups: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
@@ -337,37 +297,3 @@ class KernelShapExplainer(Explainer):
         built once per ``(d, budget, seed)`` and reused across calls,
         instances and dispatch batches."""
         return kernel_shap_design(d, self.n_coalitions, random_state)
-
-    def _sample_coalitions(
-        self, d: int, random_state: RandomState
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Force the size-stratified paired sampler (see
-        :func:`~xaidb.explainers.shapley.coalitions.kernel_shap_design`
-        for the sampling scheme and duplicate aggregation), bypassing
-        both the exhaustive branch and the arena cache."""
-        return _sampled_design(
-            d, self.n_coalitions, check_random_state(random_state)
-        )
-
-    def _solve(
-        self,
-        masks: np.ndarray,
-        values: np.ndarray,
-        weights: np.ndarray,
-        base_value: float,
-        full_value: float,
-    ) -> np.ndarray:
-        """Constrained weighted least squares with the efficiency constraint
-        eliminated onto the last feature."""
-        d = masks.shape[1]
-        Z = masks.astype(float)
-        delta = full_value - base_value
-        target = values - base_value - Z[:, -1] * delta
-        design = Z[:, :-1] - Z[:, -1][:, None]
-        weighted = design * weights[:, None]
-        gram = weighted.T @ design + self.l2 * np.eye(d - 1)
-        phi_head = solve_psd(gram, weighted.T @ target)
-        phi = np.empty(d)
-        phi[:-1] = phi_head
-        phi[-1] = delta - phi_head.sum()
-        return phi

@@ -19,7 +19,6 @@ import numpy as np
 
 from xaidb.exceptions import ValidationError
 from xaidb.runtime.cache import DEFAULT_MAX_ENTRIES, CoalitionCache
-from xaidb.runtime.parallel import WorkerPool, parallel_map, resolve_shared
 from xaidb.runtime.stats import EvalStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,20 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from xaidb.explainers.shapley.games import Game
 
 __all__ = ["RuntimeConfig", "GameRuntime"]
-
-
-def _values_batch_chunk(task) -> np.ndarray:
-    """Evaluate one mask chunk — the process-pool work unit for
-    :meth:`GameRuntime._evaluate`'s parallel path.  ``batch_fn`` is a
-    bound method of the wrapped game, so the chunk only ships when the
-    game itself is picklable."""
-    batch_fn, masks, max_batch_rows, supports_chunks = task
-    masks = resolve_shared(masks)
-    if supports_chunks:
-        return np.asarray(
-            batch_fn(masks, max_batch_rows=max_batch_rows), dtype=float
-        )
-    return np.asarray(batch_fn(masks), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -59,13 +44,10 @@ class RuntimeConfig:
         ``None`` evaluates each batch in one shot (the seed behaviour).
     n_jobs:
         Worker processes for embarrassingly parallel outer loops
-        (``None``/``1`` = serial).  Consumed by the explainers' parallel
-        paths and by :class:`GameRuntime`'s chunked batch evaluation,
-        which fans uncached mask chunks over the persistent
-        :class:`~xaidb.runtime.parallel.WorkerPool` when the game can
-        cross the process boundary (instrumented games carry an
-        unpicklable counting wrapper and transparently stay serial, so
-        evaluation accounting is never lost to a worker process).
+        (``None``/``1`` = serial), consumed by the explainers that have
+        one (permutation-sampling Shapley draws).  :class:`GameRuntime`
+        does not read it: its games' ``predict_fn`` is an unpicklable
+        counting wrapper, so batch evaluation always runs in-process.
     max_cache_entries:
         Capacity bound on the coalition memo cache (FIFO eviction,
         ``None`` = unbounded).  The default is far above any single
@@ -213,9 +195,7 @@ class GameRuntime:
                     position.append(slot)
             if len(unique_rows) == masks.shape[0]:
                 # Nothing cached and no duplicates: evaluate the
-                # caller's array as-is.  Preserving object identity is
-                # what lets the worker pool's ``share()`` memo hit for
-                # read-only arena designs (and skips a full-array copy).
+                # caller's array as-is, skipping a full-array copy.
                 unique_masks = masks
             else:
                 unique_masks = masks[unique_rows]
@@ -229,68 +209,20 @@ class GameRuntime:
         return values
 
     def _evaluate(self, masks: np.ndarray) -> np.ndarray:
-        """Raw (uncached) evaluation, chunked when the game supports it.
-
-        With ``config.n_jobs > 1`` the mask chunks fan out over the
-        persistent worker pool; per-mask values are independent, so
-        chunk boundaries and worker count never change the result
-        (games that cannot be pickled — every instrumented game, whose
-        ``predict_fn`` is a counting closure — fall back to the serial
-        path inside ``parallel_map``, keeping the ledger exact).
-        """
-        n_jobs = self.config.n_jobs
-        if self._batch_fn is not None:
-            if (
-                n_jobs is not None
-                and n_jobs > 1
-                and masks.shape[0] >= 2 * n_jobs
-            ):
-                chunks = np.array_split(masks, n_jobs)
-                payloads: list = chunks
-                if not masks.flags.writeable:
-                    # Read-only masks are arena designs with stable
-                    # object identity: place them in shared memory once
-                    # (``share`` memoises per source object) and ship
-                    # pickle-cheap window handles instead of per-task
-                    # mask copies.  Writable masks are one-shot arrays
-                    # — sharing them would pin them in the arena for
-                    # the life of the pool, so those still travel by
-                    # pickle.
-                    ref = WorkerPool.get().share(masks)
-                    edges = np.cumsum(
-                        [0] + [chunk.shape[0] for chunk in chunks]
-                    )
-                    payloads = [
-                        ref.slice(edges[k], edges[k + 1])
-                        for k in range(len(chunks))
-                    ]
-                parts = parallel_map(
-                    _values_batch_chunk,
-                    [
-                        (
-                            self._batch_fn,
-                            payload,
-                            self.config.max_batch_rows,
-                            self._batch_fn_chunks,
-                        )
-                        for payload in payloads
-                    ],
-                    n_jobs=n_jobs,
-                    stats=self.stats,
-                )
-                return np.concatenate(parts)
-            if self._batch_fn_chunks:
-                return np.asarray(
-                    self._batch_fn(
-                        masks, max_batch_rows=self.config.max_batch_rows
-                    ),
-                    dtype=float,
-                )
-            return np.asarray(self._batch_fn(masks), dtype=float)
-        return np.asarray(
-            [self.game.value(np.flatnonzero(mask)) for mask in masks],
-            dtype=float,
-        )
+        """Raw (uncached) evaluation, chunked when the game supports it."""
+        if self._batch_fn is None:
+            return np.asarray(
+                [self.game.value(np.flatnonzero(mask)) for mask in masks],
+                dtype=float,
+            )
+        if self._batch_fn_chunks:
+            return np.asarray(
+                self._batch_fn(
+                    masks, max_batch_rows=self.config.max_batch_rows
+                ),
+                dtype=float,
+            )
+        return np.asarray(self._batch_fn(masks), dtype=float)
 
     # ------------------------------------------------------------------
     def grand_value(self) -> float:

@@ -122,35 +122,13 @@ class SharedArrayRef:
     :meth:`load` or the :func:`resolve_shared` pass-through helper.
     """
 
-    def __init__(
-        self,
-        name: str,
-        shape: tuple,
-        dtype: np.dtype,
-        window: tuple[int, int] | None = None,
-    ) -> None:
+    def __init__(self, name: str, shape: tuple, dtype: np.dtype) -> None:
         self.name = name
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
-        #: optional ``(start, stop)`` row window — :meth:`load` returns
-        #: a zero-copy view of those rows
-        self.window = window
-
-    def slice(self, start: int, stop: int) -> "SharedArrayRef":
-        """Handle to rows ``[start, stop)`` of the shared array.
-
-        The segment is attached once per process regardless of how many
-        windows point into it, so fanning one arena array out as many
-        window handles ships the data zero times per task — the payload
-        each task pickles is just ``(name, shape, dtype, window)``.
-        """
-        return SharedArrayRef(
-            self.name, self.shape, self.dtype, (int(start), int(stop))
-        )
 
     def load(self) -> np.ndarray:
-        """Attach (once per process) and return the read-only array
-        (or its :attr:`window` view)."""
+        """Attach (once per process) and return the read-only array."""
         cached = _ATTACHED.get(self.name)
         if cached is None:
             segment = shared_memory.SharedMemory(name=self.name)
@@ -160,8 +138,6 @@ class SharedArrayRef:
             )
             array.flags.writeable = False
             cached = _ATTACHED[self.name] = (segment, array)
-        if self.window is not None:
-            return cached[1][self.window[0] : self.window[1]]
         return cached[1]
 
 

@@ -7,8 +7,9 @@ latency bomb), and :meth:`MicroBatcher.next_batch` drains them in
 batching windows: wait for one request, then keep collecting until
 either ``max_batch_size`` requests arrived or ``max_wait_s`` elapsed.
 Grouping the drained window by :attr:`~xaidb.service.types.
-ExplainRequest.batch_key` is the caller's job (:func:`group_by_key`),
-because one window may legitimately carry several distinct workloads.
+ExplainRequest.batch_key` and instance width is the caller's job
+(:func:`group_by_key`), because one window may legitimately carry
+several distinct workloads.
 """
 
 from __future__ import annotations
@@ -135,10 +136,18 @@ class MicroBatcher:
 
 def group_by_key(
     batch: list[PendingRequest],
-) -> dict[tuple[str, str, str], list[PendingRequest]]:
-    """Split one drained window into per-``batch_key`` dispatch groups,
-    preserving arrival order within each group."""
-    groups: dict[tuple[str, str, str], list[PendingRequest]] = {}
+) -> dict[tuple[tuple[str, str, str], int], list[PendingRequest]]:
+    """Split one drained window into dispatch groups keyed by
+    ``(batch_key, instance width)``, preserving arrival order within
+    each group.
+
+    Splitting on width keeps an instance with the wrong feature count
+    out of its batch-mates' stacked array, so it fails alone instead of
+    taking the whole batch down with it.
+    """
+    groups: dict[tuple[tuple[str, str, str], int], list[PendingRequest]] = {}
     for entry in batch:
-        groups.setdefault(entry.request.batch_key, []).append(entry)
+        request = entry.request
+        key = (request.batch_key, request.instance.shape[0])
+        groups.setdefault(key, []).append(entry)
     return groups

@@ -207,7 +207,7 @@ class ExplanationServer:
                 )
                 continue
             window = await self.batcher.next_batch()
-            for key, entries in group_by_key(window).items():
+            for (key, _width), entries in group_by_key(window).items():
                 task = asyncio.create_task(
                     self._dispatch_group(key, entries)
                 )
@@ -238,11 +238,6 @@ class ExplanationServer:
         if not live:
             return
         model, explainer_name, _ = key
-        instances = np.stack(
-            [entry.request.instance for entry in live]
-        ).astype(float)
-        seeds = [entry.request.random_state for entry in live]
-        config = dict(live[0].request.config)
         self.stats.record_batch(len(live))
         for entry in live:
             entry.batch_size = len(live)
@@ -250,6 +245,13 @@ class ExplanationServer:
         # in-flight dispatch per batch key, while distinct keys overlap
         lock = self._key_locks.setdefault(key, asyncio.Lock())
         try:
+            # assembly sits inside the failure boundary too: whatever it
+            # raises must reach every waiter as a typed error
+            instances = np.stack(
+                [entry.request.instance for entry in live]
+            ).astype(float)
+            seeds = [entry.request.random_state for entry in live]
+            config = dict(live[0].request.config)
             async with lock:
                 results, run_stats = await asyncio.to_thread(
                     self.dispatcher.dispatch,

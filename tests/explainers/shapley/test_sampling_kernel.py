@@ -9,7 +9,11 @@ from xaidb.explainers.shapley import (
     exact_shapley_values,
     permutation_shapley_values,
 )
+from xaidb.explainers.shapley.coalitions import _sampled_design
 from xaidb.explainers.shapley.games import CachedGame, FunctionGame
+from xaidb.utils.rng import check_random_state
+
+from .kernel_oracle import constrained_wls
 
 
 def glove_game():
@@ -124,6 +128,36 @@ class TestKernelShap:
         with pytest.raises(ValidationError):
             KernelShapExplainer(f, income.dataset.X[:5], n_coalitions=2)
 
+    def test_shared_runtime_reuses_cache_bitwise(self):
+        """A ``make_runtime`` runtime is how the memo cache reaches
+        KernelSHAP: re-explaining one instance through it on an
+        exhaustive design is served from the cache, bitwise equal to a
+        fresh uncached ``explain``."""
+        d = 6
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=d)
+        explainer = KernelShapExplainer(
+            lambda X: np.tanh(X @ w), rng.normal(size=(12, d))
+        )
+        x = rng.normal(size=d)
+        runtime = explainer.make_runtime(x)
+        explainer.explain(x, random_state=0, runtime=runtime)
+        repeat = explainer.explain(x, random_state=1, runtime=runtime)
+        fresh = explainer.explain(x, random_state=1)
+        assert repeat.metadata["exhaustive"]
+        assert repeat.metadata["cache_hit_rate"] > 0.9
+        assert repeat.metadata["n_model_evals"] == 0
+        assert np.array_equal(repeat.values, fresh.values)
+        # the per-call ledger block traced library callers read
+        for key in (
+            "n_model_evals",
+            "cache_hit_rate",
+            "cache_evictions",
+            "n_serial_fallbacks",
+        ):
+            assert key in fresh.metadata
+        assert fresh.metadata["n_model_evals"] > 0
+
     def test_sampled_coalitions_aggregate_duplicates(self):
         """Regression: duplicate sampled masks used to enter the design
         as independent unit-weight rows (each re-evaluated); they must be
@@ -132,7 +166,9 @@ class TestKernelShap:
         explainer = KernelShapExplainer(
             lambda X: X.sum(axis=1), np.zeros((3, d)), n_coalitions=512
         )
-        masks, weights = explainer._sample_coalitions(d, 0)
+        masks, weights = _sampled_design(
+            d, explainer.n_coalitions, check_random_state(0)
+        )
         assert len(np.unique(masks, axis=0)) == len(masks)
         # multiplicity is conserved: the weights sum to the draw count
         assert weights.sum() == pytest.approx(2 * (512 // 2))
@@ -149,13 +185,15 @@ class TestKernelShap:
             lambda X: X @ w, rng.normal(size=(6, d)), n_coalitions=256
         )
         instance = rng.normal(size=d)
-        masks, weights = explainer._sample_coalitions(d, 3)
+        masks, weights = _sampled_design(
+            d, explainer.n_coalitions, check_random_state(3)
+        )
         base, full = 0.0, 1.0
         values = rng.normal(size=len(masks))
-        aggregated = explainer._solve(masks, values, weights, base, full)
+        aggregated = constrained_wls(masks, values, weights, base, full)
         # expand each mask back to its multiplicity at unit weight
         repeat = weights.astype(int)
-        expanded = explainer._solve(
+        expanded = constrained_wls(
             np.repeat(masks, repeat, axis=0),
             np.repeat(values, repeat),
             np.ones(int(repeat.sum())),

@@ -10,10 +10,10 @@ Three contracts, each pinned bitwise:
   trees; ``TreeShapExplainer.explain`` is the same kernel at batch one;
 - the vectorized interventional kernel equals the retained
   per-background recursion;
-- the stacked KernelSHAP batch solve equals the retained per-instance
-  pipeline in both the exhaustive and sampled regimes, for any
-  ``n_jobs``, with the coalition-mask arena shipping masks to workers
-  as shared-memory references.
+- the stacked KernelSHAP pipeline equals an independent per-instance
+  reference (:mod:`.kernel_oracle`) in both the exhaustive and sampled
+  regimes, and runtime mask evaluation is bitwise the same for any
+  ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ from xaidb.models import (
 )
 from xaidb.models.tree import TreeStructure, _LEAF
 from xaidb.models.tree_kernels import EnsembleKernel
-from xaidb.runtime import GameRuntime, RuntimeConfig, WorkerPool
+from xaidb.runtime import GameRuntime, RuntimeConfig
 from xaidb.utils.combinatorics import shapley_subset_weight
-from xaidb.utils.rng import check_random_state
+from xaidb.utils.rng import check_random_state, spawn_seeds
+
+from .kernel_oracle import kernel_shap_reference
 
 
 # ------------------------------------------------------------------
@@ -396,11 +398,11 @@ class TestStackedKernelShap:
             predict, X[:20], n_coalitions=n_coalitions
         )
         got = stacked.explain_batch(X[:12], random_state=5)
-        want = serial.explain_batch_serial(X[:12], random_state=5)
-        for g, w in zip(got, want):
-            assert np.array_equal(g.values, w.values)
-            assert g.base_value == w.base_value
-            assert g.prediction == w.prediction
+        want = kernel_shap_reference(serial, X[:12], spawn_seeds(5, 12))
+        for g, (values, base, prediction) in zip(got, want):
+            assert np.array_equal(g.values, values)
+            assert g.base_value == base
+            assert g.prediction == prediction
         assert got[0].metadata["stacked"] is True
         assert stacked.batch_stats_ is not None
         assert stacked.batch_stats_.n_model_evals > 0
@@ -409,8 +411,6 @@ class TestStackedKernelShap:
         X = income.dataset.X
         predict = lambda Z: income_logistic.predict_proba(Z)[:, 1]  # noqa: E731
         explainer = KernelShapExplainer(predict, X[:15], n_coalitions=32)
-        from xaidb.utils.rng import spawn_seeds
-
         seeds = spawn_seeds(9, 6)
         batch = explainer.explain_batch(X[:6], seeds=seeds)
         for i in range(6):
@@ -428,9 +428,9 @@ class TestStackedKernelShap:
         X = rng.normal(size=(25, 9))
         explainer = KernelShapExplainer(predict, background, n_coalitions=510)
         got = explainer.explain_batch(X, random_state=1)
-        want = explainer.explain_batch_serial(X, random_state=1)
-        for g, v in zip(got, want):
-            assert np.array_equal(g.values, v.values)
+        want = kernel_shap_reference(explainer, X, spawn_seeds(1, 25))
+        for g, (values, __, __) in zip(got, want):
+            assert np.array_equal(g.values, values)
 
     def test_design_arena_shares_objects(self):
         clear_design_cache()
@@ -451,61 +451,51 @@ class TestStackedKernelShap:
 
 
 # ------------------------------------------------------------------
-# arena masks across worker processes
+# arena masks through the runtime, for any n_jobs
 # ------------------------------------------------------------------
-def _linear_predict(Z):  # module-level: picklable for the worker pool
+def _linear_predict(Z):
     return np.asarray(Z).sum(axis=1)
 
 
 class TestMaskArenaAcrossWorkers:
-    def test_n_jobs_bit_identity_and_shared_shipping(self):
-        WorkerPool.close_global()
-        try:
-            rng = np.random.default_rng(2)
-            background = rng.normal(size=(18, 8))
-            x = rng.normal(size=8)
-            masks, __ = kernel_shap_design(8, 254)  # read-only arena design
-            results = {}
-            for n_jobs in (None, 1, 4):
-                runtime = GameRuntime(
-                    MarginalImputationGame(_linear_predict, x, background),
-                    config=RuntimeConfig(cache=False, n_jobs=n_jobs),
-                )
-                results[n_jobs] = runtime.values_batch(masks)
-            assert np.array_equal(results[None], results[1])
-            assert np.array_equal(results[None], results[4])
-            # the arena design crossed the process boundary as one
-            # shared segment, not as per-task pickled chunks
-            assert WorkerPool.get().n_shared_arrays == 1
-        finally:
-            WorkerPool.close_global()
+    def test_n_jobs_bit_identity(self):
+        rng = np.random.default_rng(2)
+        background = rng.normal(size=(18, 8))
+        x = rng.normal(size=8)
+        masks, __ = kernel_shap_design(8, 254)  # read-only arena design
+        results = {}
+        for n_jobs in (None, 1, 4):
+            runtime = GameRuntime(
+                MarginalImputationGame(_linear_predict, x, background),
+                config=RuntimeConfig(cache=False, n_jobs=n_jobs),
+            )
+            results[n_jobs] = runtime.values_batch(masks)
+        assert np.array_equal(results[None], results[1])
+        assert np.array_equal(results[None], results[4])
 
     def test_cached_runtime_preserves_arena_identity(self):
-        WorkerPool.close_global()
-        try:
-            rng = np.random.default_rng(4)
-            background = rng.normal(size=(10, 7))
-            masks, __ = kernel_shap_design(7, 126)
-            runtime = GameRuntime(
-                MarginalImputationGame(
-                    _linear_predict, rng.normal(size=7), background
-                ),
-                config=RuntimeConfig(cache=True, n_jobs=4),
-            )
-            pooled = runtime.values_batch(masks)
-            serial_runtime = GameRuntime(
-                MarginalImputationGame(
-                    _linear_predict, rng.normal(size=7), background
-                ),
-                config=RuntimeConfig(cache=True),
-            )
-            # (different instance objects -> different values; identity
-            # of the shipped masks is what we assert, via the arena)
-            assert WorkerPool.get().n_shared_arrays == 1
-            assert pooled.shape == (masks.shape[0],)
-            del serial_runtime
-        finally:
-            WorkerPool.close_global()
+        # a cold cached runtime hands a duplicate-free arena design to
+        # the game as-is (no copy), in-process whatever n_jobs says
+        rng = np.random.default_rng(4)
+        background = rng.normal(size=(10, 7))
+        x = rng.normal(size=7)
+        masks, __ = kernel_shap_design(7, 126)
+        game = MarginalImputationGame(_linear_predict, x, background)
+        evaluate = game.values_batch
+        seen = []
+
+        def spy(batch, *, max_batch_rows=None):
+            seen.append(batch)
+            return evaluate(batch, max_batch_rows=max_batch_rows)
+
+        game.values_batch = spy
+        runtime = GameRuntime(game, config=RuntimeConfig(cache=True, n_jobs=4))
+        values = runtime.values_batch(masks)
+        assert len(seen) == 1 and seen[0] is masks
+        reference = MarginalImputationGame(
+            _linear_predict, x, background
+        ).values_batch(masks, max_batch_rows=runtime.config.max_batch_rows)
+        assert np.array_equal(values, reference)
 
 
 # ------------------------------------------------------------------

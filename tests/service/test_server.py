@@ -358,6 +358,51 @@ def test_backend_exception_wrapped_as_service_error():
     asyncio.run(run())
 
 
+def test_malformed_instance_fails_alone(served):
+    """Three valid KernelSHAP requests and one a feature short share a
+    batching window and a batch key: the short one gets a typed
+    ServiceError, the three valid ones complete bitwise equal to serial
+    ``explain``, and nothing is left pending."""
+    dispatcher, dataset, predict_fn = served
+
+    def request(instance, seed):
+        return ExplainRequest(
+            model="forest",
+            explainer="kernel_shap",
+            instance=instance,
+            config=SHAP_CONFIG,
+            random_state=seed,
+        )
+
+    async def run():
+        async with ExplanationServer(
+            dispatcher, max_batch_size=16, max_wait_s=0.05
+        ) as server:
+            requests = [request(dataset.X[i], 700 + i) for i in range(3)]
+            requests.append(request(dataset.X[3][:-1], 703))
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(server.submit(r) for r in requests),
+                    return_exceptions=True,
+                ),
+                timeout=10.0,
+            )
+            return requests, outcomes, server.stats
+
+    requests, outcomes, stats = asyncio.run(run())
+
+    assert isinstance(outcomes[3], ServiceError)
+    assert stats.n_failed == 1
+    assert stats.n_completed == 3
+    serial = KernelShapExplainer(predict_fn, dataset.X[:16], **SHAP_CONFIG)
+    for request_, response in zip(requests[:3], outcomes[:3]):
+        assert response.batch_size == 3
+        want = serial.explain(
+            request_.instance, random_state=request_.random_state
+        )
+        assert np.array_equal(response.result.values, want.values)
+
+
 def test_submit_requires_running_server(served):
     dispatcher, dataset, _ = served
     server = ExplanationServer(dispatcher)

@@ -36,9 +36,10 @@ Runs, in order, stopping at the first failure:
    interprocedural witnesses;
 8. a smoke run of the A15 explainer-kernel benchmark
    (``benchmarks/bench_a15_explainer_kernels.py``, reduced workloads
-   via ``XAIDB_A15_SMOKE``) — proves the leaf-lane TreeSHAP and
-   stacked-KernelSHAP batch paths stay bitwise identical to the
-   retained per-row/per-instance references and meaningfully faster,
+   via ``XAIDB_A15_SMOKE``) — proves the leaf-lane TreeSHAP batch
+   path stays bitwise identical to the per-row recursion and the
+   stacked KernelSHAP batch to per-instance ``explain`` calls through
+   cached ``make_runtime`` runtimes, both meaningfully faster,
    and gates the single-row path: the step fails if explaining one row
    at a time through the TreeSHAP kernel (``explain``, batch of one)
    takes longer than the per-row recursion, so a fixed per-call cost
