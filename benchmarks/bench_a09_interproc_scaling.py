@@ -1,8 +1,9 @@
 """A9 (ablation) — interprocedural summary-cache scaling (docs/LINTING.md).
 
-Reproduced shape: the interprocedural tier (XDB014-XDB017) adds a
-project-wide call graph plus bottom-up function summaries — three
-fixpoint analyses per function over the whole corpus — which would make
+Reproduced shape: the interprocedural tiers (XDB016-XDB017 and the
+numeric XDB023-XDB027) add a project-wide call graph plus bottom-up
+function summaries — three fixpoint analyses per function (alias, seed,
+interval) over the whole corpus — which would make
 every warm scan pay the cold price the moment one file changes (the
 corpus digest shields only the *unchanged* case).  The per-SCC Merkle
 cache must confine that cost to the SCCs reachable from the edit:

@@ -16,8 +16,7 @@ measures that, and pins the contract that makes it safe:
 3. *the cache actually pays*: the warm scan is at least 2x faster.
 
 The full run merges its record into ``benchmarks/BENCH_lint.json``
-under the ``"a13_numeric"`` key (the A11 concurrency record keeps the
-top level).  ``XAIDB_A13_SMOKE=1`` shrinks the scan to the linter's own
+under the ``"a13_numeric"`` key.  ``XAIDB_A13_SMOKE=1`` shrinks the scan to the linter's own
 sources and skips the artifact write — that is what ``tools/check.py``
 runs.
 """

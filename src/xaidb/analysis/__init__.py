@@ -5,27 +5,23 @@ validity silently: unseeded randomness, hidden library behaviour and
 impure explainers make a reproduction drift from the results it claims
 to match without any test failing.  This package turns the repo's
 scientific-correctness conventions into machine-checked invariants
-(rule ids XDB001–XDB032, documented in ``docs/LINTING.md``) that gate
-every PR via ``tests/analysis/test_lint_clean.py``.
+(rule ids XDB001–XDB013, XDB016–XDB017, XDB023–XDB027 and XDB032,
+documented in ``docs/LINTING.md``) that gate every PR via
+``tests/analysis/test_lint_clean.py``.
 
-Six tiers of rules ship: syntactic/AST-pattern checks
-(XDB001–XDB009); a flow-sensitive tier (XDB010–XDB013) built on a
-per-function CFG (:mod:`xaidb.analysis.cfg`) and a forward dataflow
-framework with reaching-definitions and value-taint instantiations
-(:mod:`xaidb.analysis.dataflow`); and an interprocedural tier
-(XDB014–XDB017) built on a project-wide call graph
-(:mod:`xaidb.analysis.callgraph`), bottom-up function summaries over
-its SCC condensation (:mod:`xaidb.analysis.summaries`) and an ndarray
-shape/dtype abstract domain (:mod:`xaidb.analysis.shapes`); a
-concurrency/determinism tier (XDB018–XDB022); and a numeric-safety tier
-(XDB023–XDB027) built on a value-range abstract interpretation
-(:mod:`xaidb.analysis.intervals`) whose interval domain tracks bounds,
-may-be-NaN flags and array lengths flow-sensitively and across calls;
-and a typestate/exception-flow tier (XDB028–XDB032) that proves
-lifecycle contracts against protocol DFAs
-(:mod:`xaidb.analysis.typestate`) and threads interprocedural
-may-raise summaries (:mod:`xaidb.analysis.raises`) through the same
-summary cache.
+Four tiers of rules ship: syntactic/AST-pattern checks
+(XDB001–XDB009, plus XDB032 next to XDB005); a flow-sensitive tier
+(XDB010–XDB013) built on a per-function CFG
+(:mod:`xaidb.analysis.cfg`) and a forward dataflow framework with
+reaching-definitions and value-taint instantiations
+(:mod:`xaidb.analysis.dataflow`); an interprocedural tier
+(XDB016–XDB017) built on a project-wide call graph
+(:mod:`xaidb.analysis.callgraph`) and bottom-up function summaries
+over its SCC condensation (:mod:`xaidb.analysis.summaries`); and a
+numeric-safety tier (XDB023–XDB027) built on a value-range abstract
+interpretation (:mod:`xaidb.analysis.intervals`) whose interval domain
+tracks bounds, may-be-NaN flags and array lengths flow-sensitively and
+across calls.
 Findings with a mechanical remedy are repaired by ``xailint --fix``
 (:mod:`xaidb.analysis.fixes`).  Scans are
 commit-speed via a content-hash-keyed incremental cache
@@ -69,12 +65,6 @@ from xaidb.analysis.fixes import (
     apply_fixes,
     plan_fixes,
 )
-from xaidb.analysis.raises import encode_raises, may_raise
-from xaidb.analysis.typestate import (
-    PROTOCOLS,
-    Protocol,
-    TypestateAnalysis,
-)
 from xaidb.analysis.intervals import (
     AbstractNum,
     Interval,
@@ -97,13 +87,6 @@ from xaidb.analysis.reporters import (
     render_sarif,
     render_stats,
     render_text,
-)
-from xaidb.analysis.shapes import (
-    AbstractArray,
-    ShapeAnalysis,
-    broadcast_shapes,
-    concat_shapes,
-    matmul_shapes,
 )
 from xaidb.analysis.summaries import (
     FunctionSummary,
@@ -149,11 +132,6 @@ __all__ = [
     "FunctionNode",
     "build_call_graph",
     "strongly_connected_components",
-    "AbstractArray",
-    "ShapeAnalysis",
-    "broadcast_shapes",
-    "matmul_shapes",
-    "concat_shapes",
     "FunctionSummary",
     "InterprocAnalysis",
     "LintCache",
@@ -171,9 +149,4 @@ __all__ = [
     "FixReport",
     "plan_fixes",
     "apply_fixes",
-    "Protocol",
-    "PROTOCOLS",
-    "TypestateAnalysis",
-    "may_raise",
-    "encode_raises",
 ]

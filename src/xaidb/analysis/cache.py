@@ -41,8 +41,9 @@ __all__ = ["LintCache", "ruleset_digest", "file_digest", "CACHE_VERSION"]
 #: Bumped whenever the cached document schema changes shape — v3 added
 #: numeric summary fields (``return_ranges``/``param_preconditions``),
 #: v4 added the typestate (pass F) and may-raise (pass G) fields
-#: (``typestate_*``/``raises_named``/``raises_top``).
-CACHE_VERSION = 4
+#: (``typestate_*``/``raises_named``/``raises_top``), v5 dropped them
+#: with ``return_shapes`` and ``effects``.
+CACHE_VERSION = 5
 
 
 def file_digest(data: bytes) -> str:

@@ -1,9 +1,10 @@
 """Project-wide call graph over the parsed lint corpus.
 
-The interprocedural tier (XDB014–XDB017) needs to know, for a call
-expression in one function, *which function bodies might execute* — a
-seeded generator, a view, or a float32 cast does not stop being a
-hazard because it crossed a helper-call boundary.  This module builds
+The interprocedural rules (XDB016–XDB017 and the numeric tier) need to
+know, for a call expression in one function, *which function bodies
+might execute* — a seeded generator, a view, or a possibly-zero
+denominator does not stop being a hazard because it crossed a
+helper-call boundary.  This module builds
 that graph from nothing but the already-parsed ASTs (stdlib only, like
 the rest of the linter) and condenses it into strongly connected
 components so summaries can be computed bottom-up even through
@@ -88,10 +89,6 @@ class CallGraph:
     class_bases: dict[str, list[str]] = field(default_factory=dict)
     #: fq class name -> direct fq subclass names
     class_subs: dict[str, list[str]] = field(default_factory=dict)
-    #: module -> local alias -> fq dotted target (``np`` -> ``numpy``),
-    #: kept from the build index so effect analyses can resolve sink
-    #: names (``np.random.normal`` -> ``numpy.random.normal``).
-    aliases: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def resolve_call(self, call: ast.Call) -> tuple[str, ...]:
         """Candidate callee qualnames for ``call`` (empty = ⊤)."""
@@ -223,7 +220,6 @@ def build_call_graph(files: list[FileContext]) -> CallGraph:
     resolve the call sites inside each of them."""
     graph = CallGraph()
     index = _ModuleIndex(files)
-    graph.aliases = index.aliases
 
     # -- pass 1: function/method index and class hierarchy -----------
     for ctx in files:

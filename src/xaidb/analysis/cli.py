@@ -71,16 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fan the per-file phase out over N worker processes "
-            "(default: serial; findings are identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         help="comma-separated subset of rule ids to run, e.g. XDB001,XDB004",
@@ -197,15 +187,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.rules:
         rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
     cache_path = None if args.no_cache else args.cache_file
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be a positive integer")
     try:
         result = run_paths(
             paths,
             root=Path.cwd(),
             rule_ids=rule_ids,
             cache_path=cache_path,
-            jobs=args.jobs,
         )
     except ValueError as exc:  # unknown rule id
         parser.error(str(exc))

@@ -181,34 +181,12 @@ def lint_source(
     return result
 
 
-def _lint_file_task(
-    task: tuple[str, str, str, tuple[str, ...] | None],
-):
-    """Per-file worker for the ``jobs=`` fan-out: parse one file and
-    run every :class:`FileRule` on it.  Module-level (picklable by
-    reference) and fed one picklable tuple, so it can cross the
-    ``xaidb.runtime.parallel`` process boundary; project rules stay in
-    the parent.  Returns ``(findings, suppression_entries,
-    rule_seconds)``."""
-    path_str, relpath, source, rule_ids = task
-    rules = all_rules(list(rule_ids) if rule_ids is not None else None)
-    file_rules = [r for r in rules if isinstance(r, FileRule)]
-    scratch = LintResult()
-    index = parse_suppressions(source)
-    built = _parse_context(Path(path_str), relpath, source)
-    if isinstance(built, Finding):
-        return [built], index.entries, scratch.stats.rule_seconds
-    findings = _run_file_rules(file_rules, built, scratch)
-    return findings, index.entries, scratch.stats.rule_seconds
-
-
 def run_paths(
     paths: Iterable[str | Path],
     *,
     root: str | Path | None = None,
     rule_ids: Sequence[str] | None = None,
     cache_path: str | Path | None = None,
-    jobs: int | None = None,
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths`` and return the result.
 
@@ -223,17 +201,9 @@ def run_paths(
     cache_path:
         Optional location of the incremental result cache
         (``.xailint_cache.json``); ``None`` disables caching.
-    jobs:
-        Fan the per-file parse/file-rule phase out over this many
-        worker processes (``None``/``1`` = serial).  Findings are
-        identical to a serial scan: suppression filtering, the XDB012
-        audit, project rules and the final sort all run in the parent,
-        and the report carries no timing, so rendered output is
-        byte-for-byte the same.
     """
     started = time.perf_counter()
     root_path = Path(root) if root is not None else None
-    use_jobs = jobs is not None and jobs > 1
     result = LintResult()
     rules = all_rules(rule_ids)
     file_rules = [r for r in rules if isinstance(r, FileRule)]
@@ -252,9 +222,6 @@ def run_paths(
     #: should the project rules miss the cache
     pending_parse: dict[str, tuple[Path, str]] = {}
     contexts: list[FileContext] = []
-    #: (path, relpath, source, digest) for cache-miss files deferred to
-    #: the worker-pool fan-out (``jobs > 1`` only)
-    deferred: list[tuple[Path, str, str, str]] = []
 
     for path in discover_files(paths):
         relpath = _relpath(path, root_path)
@@ -301,10 +268,6 @@ def run_paths(
                 continue
             result.stats.cache_misses += 1
 
-        if use_jobs:
-            deferred.append((path, relpath, source, digest))
-            continue
-
         parse_started = time.perf_counter()
         built = _parse_context(path, relpath, source)
         index = parse_suppressions(source)
@@ -322,39 +285,6 @@ def run_paths(
             cache.store_file(
                 relpath, digest, file_findings, index.entries
             )
-
-    if deferred:
-        # lazy import: the serial scan stays stdlib-only, and only a
-        # --jobs scan pays for (and requires) the runtime's pool
-        from xaidb.runtime.parallel import parallel_map
-
-        parse_started = time.perf_counter()
-        tasks = [
-            (
-                str(path),
-                relpath,
-                source,
-                tuple(rule_ids) if rule_ids is not None else None,
-            )
-            for path, relpath, source, _digest in deferred
-        ]
-        outcomes = parallel_map(_lint_file_task, tasks, n_jobs=jobs)
-        result.stats.parse_seconds += time.perf_counter() - parse_started
-        for (path, relpath, source, digest), outcome in zip(
-            deferred, outcomes
-        ):
-            file_findings, entries, rule_seconds = outcome
-            indexes[relpath] = SuppressionIndex(entries)
-            raw.extend(file_findings)
-            # the parent re-parses lazily only if project rules miss
-            # their corpus-digest cache (same contract as cache hits)
-            pending_parse[relpath] = (path, source)
-            for rule_id, seconds in rule_seconds.items():
-                result.stats.rule_seconds[rule_id] = (
-                    result.stats.rule_seconds.get(rule_id, 0.0) + seconds
-                )
-            if cache is not None:
-                cache.store_file(relpath, digest, file_findings, entries)
 
     # cross-module rules: cached wholesale under the corpus digest
     if project_rules:
@@ -374,9 +304,8 @@ def run_paths(
                 time.perf_counter() - parse_started
             )
             # deterministic corpus order regardless of which files came
-            # from cache, the fan-out, or the serial loop — call-graph
-            # candidate ordering (and the SCC cache keys derived from
-            # it) must not depend on the scan mode
+            # from cache — call-graph candidate ordering (and the SCC
+            # cache keys derived from it) must not depend on cache state
             contexts.sort(key=lambda ctx: ctx.relpath)
             project_findings = _run_project_rules(
                 project_rules,

@@ -68,9 +68,8 @@ class ScanStats:
     parse_seconds: float = 0.0
     #: Wall time spent inside each rule, across all files.
     rule_seconds: dict[str, float] = field(default_factory=dict)
-    #: Wall time per function-summary pass (alias/seed/shape/effects/
-    #: interval/typestate/raises) across every SCC that had to be
-    #: recomputed.
+    #: Wall time per function-summary pass (alias/seed/interval) across
+    #: every SCC that had to be recomputed.
     pass_seconds: dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
 

@@ -44,7 +44,6 @@ from xaidb.analysis.dataflow import (
     ValueTaint,
     solve_refined,
 )
-from xaidb.analysis.shapes import dtype_from_node
 
 __all__ = [
     "Interval",
@@ -91,7 +90,7 @@ __all__ = [
 INF = math.inf
 
 #: Bound on abstract-value sets per variable; beyond it collapse to the
-#: hull (kept informative, unlike the shape domain's collapse to ⊤).
+#: hull, which stays informative (a collapse to ⊤ would not).
 _MAX_VALUES = 4
 
 #: Labels carried by function parameters: opaque to in-function rules,
@@ -523,8 +522,8 @@ def informative(value: AbstractNum) -> bool:
 
 
 def _cap(values: Iterable[AbstractNum]) -> frozenset[str]:
-    """Encode a value set; oversize sets collapse to their hull (which
-    stays informative, unlike the shape domain's collapse to ⊤)."""
+    """Encode a value set; oversize sets collapse to their hull, which
+    stays informative (a collapse to ⊤ would not)."""
     unique = set(values)
     if not unique:
         return frozenset({encode(TOP_NUM)})
@@ -737,6 +736,26 @@ def _call_keyword(call: ast.Call, name: str) -> ast.AST | None:
         if kw.arg == name:
             return kw.value
     return None
+
+
+_KNOWN_DTYPES = ("float64", "float32", "int64", "int32", "bool")
+
+
+def dtype_from_node(node: ast.AST | None) -> str:
+    """Dtype named by a ``dtype=`` argument or cast target, ``"?"``
+    when it is not statically known."""
+    name: str | None = None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    elif isinstance(node, ast.Attribute):
+        name = node.attr  # np.float32
+    elif isinstance(node, ast.Name):
+        name = node.id  # bare float / int / float32 from-import
+    if name in ("float", "float_", "double"):
+        return "float64"
+    if name in ("int", "int_", "long"):
+        return "int64"
+    return name if name in _KNOWN_DTYPES else "?"
 
 
 def _loop_target_names(target: ast.AST) -> list[str]:

@@ -208,7 +208,9 @@ def render_github(result: LintResult) -> str:
 
 
 def render_stats(result: LintResult) -> str:
-    """The ``--stats`` table: cache effectiveness and per-rule time."""
+    """The ``--stats`` table: cache effectiveness, per-pass time, and
+    per-rule time next to each rule's yield — its unsuppressed findings
+    and the findings its inline suppressions silenced."""
     stats = result.stats
     lines = [
         "scan statistics:",
@@ -234,12 +236,21 @@ def render_stats(result: LintResult) -> str:
             lines.append(
                 f"    {pass_name:<10} {seconds * 1e3:8.1f} ms"
             )
-    if stats.rule_seconds:
-        lines.append("  per-rule time:")
-        for rule_id, seconds in sorted(
-            stats.rule_seconds.items(),
-            key=lambda pair: pair[1],
-            reverse=True,
+    yields: dict[str, list[int]] = {}
+    for column, findings in enumerate((result.findings, result.suppressed)):
+        for finding in findings:
+            yields.setdefault(finding.rule_id, [0, 0])[column] += 1
+    rule_ids = set(stats.rule_seconds) | set(yields)
+    if rule_ids:
+        lines.append("  per-rule time and yield: findings  suppressed")
+        for rule_id in sorted(
+            rule_ids,
+            key=lambda rid: (-stats.rule_seconds.get(rid, 0.0), rid),
         ):
-            lines.append(f"    {rule_id}    {seconds * 1e3:8.1f} ms")
+            seconds = stats.rule_seconds.get(rule_id, 0.0)
+            found, suppressed = yields.get(rule_id, (0, 0))
+            lines.append(
+                f"    {rule_id}    {seconds * 1e3:8.1f} ms"
+                f"  {found:8d}  {suppressed:10d}"
+            )
     return "\n".join(lines)

@@ -1,39 +1,30 @@
-"""The built-in xailint rule pack (XDB001–XDB032).
+"""The built-in xailint rule pack (XDB001–XDB013, XDB016–XDB017,
+XDB023–XDB027, XDB032).
 
 Importing this package registers every rule with
 :mod:`xaidb.analysis.registry`; the ids are stable and documented in
-``docs/LINTING.md``.  XDB010–XDB013 are the flow-sensitive tier built
-on :mod:`xaidb.analysis.cfg` / :mod:`xaidb.analysis.dataflow`;
-XDB014–XDB017 are the interprocedural tier built on
-:mod:`xaidb.analysis.callgraph` / :mod:`xaidb.analysis.summaries` /
-:mod:`xaidb.analysis.shapes`; XDB018–XDB022 are the concurrency &
-determinism tier built on the effect vectors of
-:mod:`xaidb.analysis.effects`; XDB023–XDB027 are the numeric-safety
-tier built on the value-range abstract interpretation of
-:mod:`xaidb.analysis.intervals`; XDB028–XDB032 are the typestate &
-exception-flow tier built on the protocol DFAs of
-:mod:`xaidb.analysis.typestate` and the may-raise summaries of
-:mod:`xaidb.analysis.raises`.
+``docs/LINTING.md``, which also lists the retired ids and why they
+went.  XDB010–XDB013 are the flow-sensitive tier built on
+:mod:`xaidb.analysis.cfg` / :mod:`xaidb.analysis.dataflow`;
+XDB016–XDB017 are the interprocedural tier built on
+:mod:`xaidb.analysis.callgraph` / :mod:`xaidb.analysis.summaries`;
+XDB023–XDB027 are the numeric-safety tier built on the value-range
+abstract interpretation of :mod:`xaidb.analysis.intervals`; XDB032
+sits next to XDB005 in :mod:`xaidb.analysis.rules.error_handling`.
 """
 
 from xaidb.analysis.rules.api_surface import MissingAllRule
-from xaidb.analysis.rules.concurrency import (
-    BlockingCallInAsyncRule,
-    LeakedSharedResourceRule,
-    NondeterministicWorkerTaskRule,
-    SharedArrayMutationRule,
-    UnpicklableTaskCaptureRule,
-)
 from xaidb.analysis.rules.dead_store import DeadStoreRule
 from xaidb.analysis.rules.defaults import MutableDefaultRule
-from xaidb.analysis.rules.error_handling import BroadExceptRule
+from xaidb.analysis.rules.error_handling import (
+    BroadExceptRule,
+    SwallowedExceptionRule,
+)
 from xaidb.analysis.rules.float_compare import FloatEqualityRule
 from xaidb.analysis.rules.imports_rule import BannedImportsRule
 from xaidb.analysis.rules.interproc import (
-    DtypeDegradationRule,
     MutationThroughCalleeRule,
     RngEscapesHelperRule,
-    ShapeMismatchRule,
 )
 from xaidb.analysis.rules.numeric import (
     DegenerateReductionRule,
@@ -43,13 +34,6 @@ from xaidb.analysis.rules.numeric import (
     UnnormalizedProbabilityRule,
 )
 from xaidb.analysis.rules.project import ExplainerInterfaceRule
-from xaidb.analysis.rules.protocol import (
-    SwallowedExceptionRule,
-    UnawaitedCoroutineRule,
-    UntypedExceptionEscapesRule,
-    UseAfterCloseRule,
-    UseBeforeFitRule,
-)
 from xaidb.analysis.rules.purity import ExplainerPurityRule
 from xaidb.analysis.rules.randomness import UnseededRandomnessRule
 from xaidb.analysis.rules.rng_origin import RngOriginRule
@@ -71,23 +55,12 @@ __all__ = [
     "InputViewEscapeRule",
     "SuppressionAuditRule",
     "DeadStoreRule",
-    "ShapeMismatchRule",
-    "DtypeDegradationRule",
     "RngEscapesHelperRule",
     "MutationThroughCalleeRule",
-    "SharedArrayMutationRule",
-    "NondeterministicWorkerTaskRule",
-    "UnpicklableTaskCaptureRule",
-    "BlockingCallInAsyncRule",
-    "LeakedSharedResourceRule",
     "DivisionByPossibleZeroRule",
     "LogSqrtDomainRule",
     "DegenerateReductionRule",
     "UnnormalizedProbabilityRule",
     "ReciprocalScaleRule",
-    "UseBeforeFitRule",
-    "UseAfterCloseRule",
-    "UnawaitedCoroutineRule",
-    "UntypedExceptionEscapesRule",
     "SwallowedExceptionRule",
 ]

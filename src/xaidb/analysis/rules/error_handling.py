@@ -1,4 +1,4 @@
-"""XDB005 — bare or overbroad ``except`` clauses.
+"""XDB005/XDB032 — bare or overbroad ``except`` clauses.
 
 ``except:`` and ``except Exception:`` swallow programming errors (and
 ``except BaseException`` even eats ``KeyboardInterrupt``), turning a
@@ -9,6 +9,13 @@ catch at a process boundary takes an inline suppression with a reason.
 
 A broad handler whose body is a bare ``raise`` (log-and-reraise) is
 allowed: it cannot swallow anything.
+
+XDB032 ``swallowed-exception`` flags the subset of broad handlers that
+discard the exception on every path (no re-raise, no log, no read of
+the bound name).  Every XDB032 site is also an XDB005 site: XDB005
+points at the overly-wide *catch*, XDB032 at the silent *discard* —
+fixing the discard (log/re-raise) clears XDB032 while XDB005 may
+legitimately stay suppressed.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from xaidb.analysis.callgraph import dotted_name
 from xaidb.analysis.findings import Finding
 from xaidb.analysis.registry import FileContext, FileRule, register
 
-__all__ = ["BroadExceptRule"]
+__all__ = ["BroadExceptRule", "SwallowedExceptionRule"]
 
 _BROAD_NAMES = {"Exception", "BaseException"}
 
@@ -75,3 +83,75 @@ class BroadExceptRule(FileRule):
                     f"exceptions this block can raise"
                 )
             yield ctx.finding(self, node, message)
+
+
+#: Dotted-name fragments that count as "the handler did something with
+#: the error" — logging, reporting, failing the request, exiting.
+_HANDLING_TOKENS = (
+    "log",
+    "warn",
+    "print",
+    "traceback",
+    "exit",
+    "set_exception",
+    "fail",
+)
+
+
+def _handler_acts(handler: ast.ExceptHandler) -> bool:
+    """Does the handler body re-raise, read the bound exception, or
+    call anything that looks like logging/reporting?"""
+    bound = handler.name
+    for stmt in handler.body:
+        stack: list[ast.AST] = [stmt]
+        while stack:
+            node = stack.pop()
+            if isinstance(
+                node,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+            ):
+                continue
+            if isinstance(node, ast.Raise):
+                return True
+            if (
+                bound
+                and isinstance(node, ast.Name)
+                and node.id == bound
+            ):
+                return True
+            if isinstance(node, ast.Call):
+                dotted = (dotted_name(node.func) or "").lower()
+                if any(tok in dotted for tok in _HANDLING_TOKENS):
+                    return True
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+@register
+class SwallowedExceptionRule(FileRule):
+    """XDB032: a broad except discards the exception on every path."""
+
+    rule_id = "XDB032"
+    symbol = "swallowed-exception"
+    description = (
+        "A broad except (bare / Exception / BaseException) neither "
+        "re-raises, reads the caught exception, nor calls anything "
+        "that logs or reports it — the failure vanishes without a "
+        "trace on every path through the handler"
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if _broad_name(node.type) is None or _handler_acts(node):
+                continue
+            yield ctx.finding(
+                self,
+                node,
+                "broad except swallows the exception: no path "
+                "through the handler re-raises, reads the caught "
+                "error, or logs it — narrow the except, log the "
+                "failure, or re-raise (XDB005 flags the width of "
+                "the catch; this flags the silent discard)",
+            )

@@ -1,24 +1,14 @@
-"""XDB014–XDB017 — the interprocedural rule tier.
+"""XDB016–XDB017 — the interprocedural rule tier.
 
 The first thirteen rules stop at function boundaries: XDB010 cannot see
 a literal-seeded generator built in a helper, XDB011 cannot see a view
 returned *through* one, XDB003 cannot see a mutation a callee performs
-on the caller's behalf.  These four rules close that gap.  They all
-ride on the same :class:`~xaidb.analysis.summaries.InterprocAnalysis`
-instance — project-wide call graph, bottom-up function summaries, and
-the :mod:`~xaidb.analysis.shapes` abstract domain — built once per scan
-via :meth:`~xaidb.analysis.registry.ProjectContext.interproc`.
+on the caller's behalf.  These two rules close that gap.  They ride on
+the same :class:`~xaidb.analysis.summaries.InterprocAnalysis` instance
+— project-wide call graph and bottom-up function summaries — built
+once per scan via
+:meth:`~xaidb.analysis.registry.ProjectContext.interproc`.
 
-- **XDB014 shape-mismatch** — an ndarray binary operation / ``matmul``
-  / ``concatenate`` whose operands are *provably* incompatible on every
-  path, with callee return shapes flowing through summaries.  Only
-  literal-vs-literal dim conflicts are ever provable, so the rule is
-  free of false positives by construction.
-- **XDB015 dtype-degradation** — a provably-float64 value narrowed by a
-  ``float32``/int cast, or a true division of provably-integer arrays,
-  on a path that flows into an ``explain*`` return value: attribution
-  scores silently lose the precision the paper's ranking semantics
-  assume.
 - **XDB016 rng-escapes-helper** — the interprocedural face of XDB010: a
   generator seeded with a literal inside a helper (up to
   :data:`~xaidb.analysis.summaries.RNG_MAX_DEPTH` boundaries away)
@@ -29,7 +19,7 @@ via :meth:`~xaidb.analysis.registry.ProjectContext.interproc`.
   helper's view of one.  Direct (same-frame) cases stay XDB003/XDB011's.
 
 Every rule stays silent on anything it cannot prove: unresolved calls,
-dynamic scopes and unknown shapes all collapse to ⊤, which can never
+dynamic scopes and unknown values all collapse to ⊤, which can never
 support a finding.
 """
 
@@ -40,12 +30,10 @@ from typing import Iterator
 
 from xaidb.analysis.dataflow import (
     State,
-    ValueTaint,
     calls_dynamic_scope,
     function_params,
     item_exprs,
     replay,
-    solve_forward,
 )
 from xaidb.analysis.findings import Finding
 from xaidb.analysis.registry import (
@@ -55,16 +43,6 @@ from xaidb.analysis.registry import (
     register,
 )
 from xaidb.analysis.rules.rng_origin import STOCHASTIC_METHODS
-from xaidb.analysis.shapes import (
-    INCOMPATIBLE,
-    AbstractArray,
-    ShapeAnalysis,
-    broadcast_shapes,
-    concat_shapes,
-    decode,
-    dtype_from_node,
-    matmul_shapes,
-)
 from xaidb.analysis.summaries import (
     VIA_PREFIX,
     InterprocAnalysis,
@@ -74,23 +52,14 @@ from xaidb.analysis.summaries import (
 )
 
 __all__ = [
-    "ShapeMismatchRule",
-    "DtypeDegradationRule",
     "RngEscapesHelperRule",
     "MutationThroughCalleeRule",
 ]
 
 #: explain*/fit — the externally-owned-data entry points (XDB003/011's
-#: scope, which XDB015/017 extend across call boundaries).
+#: scope, which XDB017 extends across call boundaries).
 _METHOD_NAMES_EXACT = {"fit"}
 _METHOD_PREFIXES = ("explain",)
-
-_INT_DTYPES = {"int64", "int32"}
-_NARROW_TARGETS = {"float32", "int64", "int32", "bool"}
-
-_BROADCAST_OPS = (
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
-)
 
 
 def _package_functions(project: ProjectContext):
@@ -110,344 +79,15 @@ def _is_target_method(name: str) -> bool:
     return name in _METHOD_NAMES_EXACT or name.startswith(_METHOD_PREFIXES)
 
 
-def _fmt(value: AbstractArray) -> str:
-    shape = "(?,...)" if value.shape is None else (
-        "(" + ", ".join(value.shape) + ")"
-    )
-    return f"{value.dtype}{shape}"
-
-
-def _op_symbol(op: ast.operator) -> str:
-    return {
-        ast.MatMult: "@", ast.Add: "+", ast.Sub: "-", ast.Mult: "*",
-        ast.Div: "/", ast.FloorDiv: "//", ast.Mod: "%", ast.Pow: "**",
-    }.get(type(op), "?")
-
-
-def _all_pairs_incompatible(
-    lefts: set[AbstractArray],
-    rights: set[AbstractArray],
-    combine,
-) -> tuple[AbstractArray, AbstractArray] | None:
-    """The witness pair when *every* left×right combination is provably
-    incompatible (⊤ or an unknown shape on either side blocks the
-    proof), else ``None``."""
-    if not lefts or not rights:
-        return None
-    witness: tuple[AbstractArray, AbstractArray] | None = None
-    for a in sorted(lefts, key=_fmt):
-        for b in sorted(rights, key=_fmt):
-            if combine(a.shape, b.shape) is not INCOMPATIBLE:
-                return None
-            if witness is None:
-                witness = (a, b)
-    return witness
-
-
-@register
-class ShapeMismatchRule(ProjectRule):
-    rule_id = "XDB014"
-    symbol = "shape-mismatch"
-    description = (
-        "An ndarray operation's operands have provably incompatible "
-        "shapes on every path (broadcast, matmul or concatenate with "
-        "conflicting literal dims, with callee return shapes resolved "
-        "through function summaries): the call site can only raise."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for interproc, ctx, fnode in _package_functions(project):
-            yield from self._check_function(interproc, ctx, fnode)
-
-    def _check_function(
-        self, interproc: InterprocAnalysis, ctx: FileContext, fnode
-    ) -> Iterator[Finding]:
-        if not _has_shape_sinks(fnode.node):
-            return  # no checkable node: skip the fixpoint entirely
-        cfg, problem, in_states = interproc.solution(
-            "shape", fnode.qualname
-        )
-        findings: list[Finding] = []
-        seen: set[int] = set()
-
-        def values(expr: ast.AST, state: State) -> set[AbstractArray]:
-            return {decode(l) for l in problem.eval_expr(expr, state)}
-
-        def visit(item: ast.AST, state: State) -> None:
-            for root in item_exprs(item):
-                for node in ast.walk(root):
-                    if id(node) in seen:
-                        continue
-                    seen.add(id(node))
-                    witness = self._check_node(node, state, values)
-                    if witness is not None:
-                        operation, a, b = witness
-                        findings.append(
-                            ctx.finding(
-                                self,
-                                node,
-                                f"operands of {operation} are provably "
-                                f"incompatible on every path: "
-                                f"{_fmt(a)} vs {_fmt(b)}",
-                            )
-                        )
-
-        replay(cfg, problem, in_states, visit)
-        yield from findings
-
-    def _check_node(self, node: ast.AST, state: State, values):
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.MatMult):
-                combine = matmul_shapes
-            elif isinstance(node.op, _BROADCAST_OPS):
-                combine = broadcast_shapes
-            else:
-                return None
-            witness = _all_pairs_incompatible(
-                values(node.left, state), values(node.right, state),
-                combine,
-            )
-            if witness is not None:
-                return (f"'{_op_symbol(node.op)}'",) + witness
-            return None
-        if not isinstance(node, ast.Call):
-            return None
-        name = _call_name(node)
-        if name in ("matmul", "dot") and len(node.args) >= 2:
-            witness = _all_pairs_incompatible(
-                values(node.args[0], state),
-                values(node.args[1], state),
-                matmul_shapes,
-            )
-            if witness is not None:
-                return (f"{name}()",) + witness
-        if name == "concatenate" and node.args:
-            return self._check_concat(node, state, values)
-        return None
-
-    def _check_concat(self, node: ast.Call, state: State, values):
-        parts = node.args[0]
-        if not isinstance(parts, (ast.Tuple, ast.List)):
-            return None
-        if len(parts.elts) < 2:
-            return None
-        axis = _concat_axis(node)
-        if axis is None:
-            return None
-        options = [values(p, state) for p in parts.elts]
-        if any(not opts for opts in options):
-            return None
-        combos = [()]
-        for opts in options:
-            combos = [
-                c + (v,) for c in combos for v in sorted(opts, key=_fmt)
-            ]
-            if len(combos) > 16:
-                return None  # too many worlds to prove all of them
-        witness = None
-        for combo in combos:
-            if concat_shapes(
-                [v.shape for v in combo], axis
-            ) is not INCOMPATIBLE:
-                return None
-            if witness is None:
-                witness = combo
-        if witness is None:
-            return None
-        return ("concatenate()", witness[0], witness[1])
-
-
-def _call_name(call: ast.Call) -> str:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return ""
-
-
-def _has_shape_sinks(fn: ast.AST) -> bool:
-    """Whether ``fn`` contains any node XDB014 could flag — the cheap
-    syntactic gate that lets the rule skip the shape fixpoint for the
-    (many) functions with nothing to check."""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, _BROADCAST_OPS + (ast.MatMult,)
-        ):
-            return True
-        if isinstance(node, ast.Call) and _call_name(node) in (
-            "matmul",
-            "dot",
-            "concatenate",
-        ):
-            return True
-    return False
-
-
 def _has_stochastic_sinks(fn: ast.AST) -> bool:
     """Whether ``fn`` contains a ``.normal()``-style stochastic call —
-    XDB016's equivalent of :func:`_has_shape_sinks`."""
+    the cheap syntactic gate that lets XDB016 skip the seed fixpoint
+    for the (many) functions with nothing to check."""
     return any(
         isinstance(node, ast.Attribute)
         and node.attr in STOCHASTIC_METHODS
         for node in ast.walk(fn)
     )
-
-
-def _concat_axis(call: ast.Call) -> int | None:
-    node = None
-    if len(call.args) > 1:
-        node = call.args[1]
-    for keyword in call.keywords:
-        if keyword.arg == "axis":
-            node = keyword.value
-    if node is None:
-        return 0  # the numpy default
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    return None
-
-
-class _EventTaint(ValueTaint):
-    """Phase-2 taint for XDB015: any expression containing a
-    degradation-event node carries that event's label, and plain union
-    taint (not the shape domain, whose binop semantics would drop the
-    tag) answers "does the degraded value reach a return"."""
-
-    def __init__(self, events: dict[int, str]):
-        super().__init__()
-        self.events = events
-
-    def eval_expr(self, expr, state):
-        labels = super().eval_expr(expr, state)
-        if expr is None:
-            return labels
-        extra = {
-            self.events[id(node)]
-            for node in ast.walk(expr)
-            if id(node) in self.events
-        }
-        return frozenset(labels | extra) if extra else labels
-
-
-@register
-class DtypeDegradationRule(ProjectRule):
-    rule_id = "XDB015"
-    symbol = "dtype-degradation"
-    description = (
-        "A provably-float64 value is narrowed by a float32/int cast, "
-        "or provably-integer arrays are true-divided, on a path that "
-        "flows into an explain* return value: attribution scores "
-        "silently lose the precision their ranking semantics assume."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for interproc, ctx, fnode in _package_functions(project):
-            parts = fnode.qualname.rsplit(".", 2)
-            if len(parts) < 3 or fnode.module != parts[0]:
-                continue  # not a method of a top-level class
-            _, class_name, method = parts
-            if not method.startswith(_METHOD_PREFIXES):
-                continue
-            yield from self._check_method(
-                interproc, ctx, fnode, class_name
-            )
-
-    def _check_method(
-        self,
-        interproc: InterprocAnalysis,
-        ctx: FileContext,
-        fnode,
-        class_name: str,
-    ) -> Iterator[Finding]:
-        cfg, problem, in_states = interproc.solution(
-            "shape", fnode.qualname
-        )
-        events: dict[int, str] = {}
-        details: dict[str, tuple[ast.AST, str]] = {}
-
-        def values(expr: ast.AST, state: State) -> set[AbstractArray]:
-            return {decode(l) for l in problem.eval_expr(expr, state)}
-
-        def visit(item: ast.AST, state: State) -> None:
-            for root in item_exprs(item):
-                for node in ast.walk(root):
-                    if id(node) in events:
-                        continue
-                    found = self._degradation(node, state, values)
-                    if found is not None:
-                        label = f"deg:{len(details)}"
-                        events[id(node)] = label
-                        details[label] = (node, found)
-
-        replay(cfg, problem, in_states, visit)
-        if not details:
-            return
-
-        # phase 2: which degraded values actually reach a return?
-        taint = _EventTaint(events)
-        taint_in = solve_forward(cfg, taint)
-        fired: dict[str, None] = {}
-
-        def visit_return(item: ast.AST, state: State) -> None:
-            if isinstance(item, ast.Return) and item.value is not None:
-                for label in taint.eval_expr(item.value, state):
-                    if label in details:
-                        fired.setdefault(label)
-
-        replay(cfg, taint, taint_in, visit_return)
-        for label in fired:
-            node, what = details[label]
-            yield ctx.finding(
-                self,
-                node,
-                f"{class_name}.{fnode.node.name}: {what}, and the "
-                f"result flows into the returned attribution; keep "
-                f"float64 end-to-end or copy before narrowing",
-            )
-
-    def _degradation(
-        self, node: ast.AST, state: State, values
-    ) -> str | None:
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            lefts = values(node.left, state)
-            rights = values(node.right, state)
-            if (
-                lefts
-                and rights
-                and all(v.dtype in _INT_DTYPES for v in lefts | rights)
-                and any(
-                    v.shape is not None and len(v.shape) >= 1
-                    for v in lefts | rights
-                )
-            ):
-                return (
-                    "true division of provably integer-dtyped arrays "
-                    "(precision was already truncated upstream)"
-                )
-            return None
-        if not isinstance(node, ast.Call):
-            return None
-        target = None
-        operand = None
-        name = _call_name(node)
-        if (
-            name == "astype"
-            and isinstance(node.func, ast.Attribute)
-            and node.args
-        ):
-            target = dtype_from_node(node.args[0])
-            operand = node.func.value
-        elif name in ("float32", "int32", "int64") and node.args:
-            target = name
-            operand = node.args[0]
-        if target not in _NARROW_TARGETS or operand is None:
-            return None
-        operand_values = values(operand, state)
-        if operand_values and all(
-            v.dtype == "float64" for v in operand_values
-        ):
-            return f"provably-float64 value cast to {target}"
-        return None
 
 
 @register

@@ -1,7 +1,7 @@
 """XDB023–XDB027 — the numeric-safety rule tier.
 
-The interval tier answers the questions the shape/alias/concurrency
-tiers cannot: *which values* flow where.  All five rules ride the
+The interval tier answers the question the alias and seed tiers
+cannot: *which values* flow where.  All five rules ride the
 :class:`~xaidb.analysis.intervals.IntervalAnalysis` fixpoint (widened,
 branch-refined) memoised on the scan's
 :class:`~xaidb.analysis.summaries.InterprocAnalysis`, plus the

@@ -1,8 +1,9 @@
 """Bottom-up function summaries over the call-graph condensation.
 
-The interprocedural rules (XDB014–XDB017) never re-analyse a callee at
-every call site.  Instead, each function in the corpus gets one
-:class:`FunctionSummary` — the caller-visible facts of its body:
+The interprocedural rules (XDB016, XDB017 and the numeric tier
+XDB023–XDB027) never re-analyse a callee at every call site.  Instead,
+each function in the corpus gets one :class:`FunctionSummary` — the
+caller-visible facts of its body:
 
 - ``returns_view_of`` — parameters whose ndarray buffer the return
   value may alias (the cross-boundary form of XDB011's escape facts);
@@ -13,10 +14,10 @@ every call site.  Instead, each function in the corpus gets one
   seed escapes via the return value, how many call boundaries it has
   already crossed (``0`` = constructed here; capped at
   :data:`RNG_MAX_DEPTH`);
-- ``return_shapes`` — the abstract shape/dtype values the function may
-  return, in the :mod:`xaidb.analysis.shapes` domain, sanitised so
-  function-local symbolic dims do not leak (empty = ⊤, nothing
-  provable).
+- ``return_ranges`` / ``param_preconditions`` — the numeric facts of
+  the :mod:`xaidb.analysis.intervals` domain (pass E): the returned
+  value ranges and the nonzero/positive/nonnegative obligations on
+  parameters that call sites must meet.
 
 Summaries are computed bottom-up over the SCC condensation of the call
 graph — callees before callers, with a small fixpoint iteration inside
@@ -49,7 +50,6 @@ from xaidb.analysis.callgraph import (
     strongly_connected_components,
 )
 from xaidb.analysis.cfg import function_cfg
-from xaidb.analysis.effects import SHARED, EffectVector, function_effects
 from xaidb.analysis.dataflow import (
     VIEW_FUNCTIONS,
     VIEW_METHODS,
@@ -70,23 +70,13 @@ from xaidb.analysis.intervals import (
     params_of as num_params_of,
     values_of as num_values_of,
 )
-from xaidb.analysis.raises import encode_raises, may_raise
 from xaidb.analysis.registry import FileContext
-from xaidb.analysis.shapes import (
-    TOP,
-    ShapeAnalysis,
-    decode,
-    encode,
-    sanitize,
-)
-from xaidb.analysis.typestate import TypestateAnalysis
 
 __all__ = [
     "FunctionSummary",
     "InterprocAnalysis",
     "InterAliasTaint",
     "InterSeedTaint",
-    "SharedSourceTaint",
     "summarize_function",
     "map_arguments",
     "iter_mutations",
@@ -114,8 +104,8 @@ VIA_PREFIX = "via::"
 #: In-SCC fixpoint iteration bound (cycles converge in 2–3 rounds).
 _MAX_SCC_ROUNDS = 5
 
-#: Bound on exported return shapes; beyond it the summary says ⊤.
-_MAX_RETURN_SHAPES = 4
+#: Bound on exported return ranges; beyond it the summary says ⊤.
+_MAX_RETURN_RANGES = 4
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,6 @@ class FunctionSummary:
     returns_view_of: tuple[str, ...] = ()
     mutates: tuple[str, ...] = ()
     rng_return_depth: int | None = None
-    return_shapes: tuple[str, ...] = ()
     #: Abstract numeric return values (pass E) in the
     #: :mod:`xaidb.analysis.intervals` encoding — empty = ⊤, nothing
     #: provable about the returned range.
@@ -138,24 +127,6 @@ class FunctionSummary:
     #: ``nonnegative`` (flows into ``sqrt``) — checked at call sites by
     #: XDB023/XDB024.
     param_preconditions: tuple[str, ...] = ()
-    #: Concurrency/determinism facts (pass D) — witnesses for the
-    #: XDB018–XDB022 tier, ``None`` per field = effect absent.
-    effects: EffectVector = EffectVector()
-    #: May-raise facts (pass G): each entry is ``"Type@qualname:line"``
-    #: — an exception type that may escape, with the throw-site
-    #: witness.  ``raises_top`` is the conservative "and possibly
-    #: anything else" bit; it defaults to ``True`` so the bottom
-    #: summary claims nothing it cannot prove.
-    raises_named: tuple[str, ...] = ()
-    raises_top: bool = True
-    #: Typestate facts (pass F) in the
-    #: :mod:`xaidb.analysis.typestate` encodings: ``"param|proto"``
-    #: pairs tracked to every exit, ``"param|proto|s_in|outs"``
-    #: state-transition entries, and
-    #: ``"param|proto|s_in|method|line|kind"`` conditional obligations.
-    typestate_tracked: tuple[str, ...] = ()
-    typestate_transitions: tuple[str, ...] = ()
-    typestate_obligations: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -164,15 +135,8 @@ class FunctionSummary:
             "returns_view_of": list(self.returns_view_of),
             "mutates": list(self.mutates),
             "rng_return_depth": self.rng_return_depth,
-            "return_shapes": list(self.return_shapes),
             "return_ranges": list(self.return_ranges),
             "param_preconditions": list(self.param_preconditions),
-            "effects": self.effects.to_dict(),
-            "raises_named": list(self.raises_named),
-            "raises_top": self.raises_top,
-            "typestate_tracked": list(self.typestate_tracked),
-            "typestate_transitions": list(self.typestate_transitions),
-            "typestate_obligations": list(self.typestate_obligations),
         }
 
     @classmethod
@@ -180,9 +144,6 @@ class FunctionSummary:
         depth = data["rng_return_depth"]
         if depth is not None and not isinstance(depth, int):
             raise ValueError("rng_return_depth must be int or None")
-        raises_top = data["raises_top"]
-        if not isinstance(raises_top, bool):
-            raise ValueError("raises_top must be bool")
         return cls(
             qualname=str(data["qualname"]),
             params=tuple(str(p) for p in data["params"]),
@@ -191,22 +152,9 @@ class FunctionSummary:
             ),
             mutates=tuple(str(p) for p in data["mutates"]),
             rng_return_depth=depth,
-            return_shapes=tuple(str(s) for s in data["return_shapes"]),
             return_ranges=tuple(str(s) for s in data["return_ranges"]),
             param_preconditions=tuple(
                 str(s) for s in data["param_preconditions"]
-            ),
-            effects=EffectVector.from_dict(data["effects"]),
-            raises_named=tuple(str(s) for s in data["raises_named"]),
-            raises_top=raises_top,
-            typestate_tracked=tuple(
-                str(s) for s in data["typestate_tracked"]
-            ),
-            typestate_transitions=tuple(
-                str(s) for s in data["typestate_transitions"]
-            ),
-            typestate_obligations=tuple(
-                str(s) for s in data["typestate_obligations"]
             ),
         )
 
@@ -342,32 +290,6 @@ class InterAliasTaint(ValueTaint):
 def strip_via(label: str) -> str:
     """The underlying parameter name of an alias-taint label."""
     return label[len(VIA_PREFIX):] if label.startswith(VIA_PREFIX) else label
-
-
-class SharedSourceTaint(InterAliasTaint):
-    """Alias taint whose sources are the shared worker arena instead of
-    parameters: ``resolve_shared(payload)`` and zero-argument
-    ``.load()`` calls yield :data:`xaidb.analysis.effects.SHARED`, and
-    the inherited view semantics then track which names alias that
-    read-only buffer.  Lives here (not in effects.py) because the base
-    class does — effects.py pulls it in lazily."""
-
-    def eval_call(self, call: ast.Call, state: State) -> frozenset[str]:
-        func = call.func
-        if (
-            isinstance(func, (ast.Name, ast.Attribute))
-            and _syntactic_name(call) == "resolve_shared"
-            and call.args
-        ):
-            return frozenset({SHARED})
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "load"
-            and not call.args
-            and not call.keywords
-        ):
-            return frozenset({SHARED})
-        return super().eval_call(call, state)
 
 
 def _is_default_rng(func: ast.AST) -> bool:
@@ -519,9 +441,8 @@ def summarize_function(
 ) -> FunctionSummary:
     """Compute one function's summary given its callees' summaries.
     ``timings`` (when given) accumulates wall seconds per summary pass
-    under the keys ``alias``/``seed``/``shape``/``effects``/
-    ``interval``/``typestate``/``raises`` — surfaced by ``--stats`` as
-    the per-pass breakdown."""
+    under the keys ``alias``/``seed``/``interval`` — surfaced by
+    ``--stats`` as the per-pass breakdown."""
     fn = fnode.node
     params = tuple(function_params(fn))
     tracked = [p for p in params if p not in ("self", "cls")]
@@ -585,40 +506,6 @@ def summarize_function(
         rng_depth = None  # beyond the tracking horizon
     _tick("seed", pass_started)
 
-    # -- pass C: abstract return shapes ------------------------------
-    pass_started = time.perf_counter()
-    shape = ShapeAnalysis(
-        callee_returns=lambda call: _callee_return_shapes(
-            graph, summaries, call
-        )
-    )
-    shape_in = solve_forward(cfg, shape)
-    return_values: set[str] = set()
-    top_seen = False
-
-    def visit_shape(item: ast.AST, state: State) -> None:
-        nonlocal top_seen
-        if isinstance(item, ast.Return) and item.value is not None:
-            labels = shape.eval_expr(item.value, state)
-            if labels & TOP or not labels:
-                top_seen = True
-            else:
-                return_values.update(
-                    encode(sanitize(decode(label))) for label in labels
-                )
-
-    replay(cfg, shape, shape_in, visit_shape)
-    if top_seen or len(return_values) > _MAX_RETURN_SHAPES:
-        return_shapes: tuple[str, ...] = ()
-    else:
-        return_shapes = tuple(sorted(return_values))
-    _tick("shape", pass_started)
-
-    # -- pass D: concurrency/determinism effect vector ---------------
-    pass_started = time.perf_counter()
-    effects = function_effects(fnode, graph, summaries, cfg=cfg)
-    _tick("effects", pass_started)
-
     # -- pass E: numeric return ranges and param preconditions -------
     pass_started = time.perf_counter()
     interval = IntervalAnalysis(
@@ -654,25 +541,11 @@ def summarize_function(
                 preconditions.add(f"{name}|{kind}|{line}")
 
     replay(cfg, interval, interval_in, visit_interval)
-    if range_top or len(range_values) > _MAX_RETURN_SHAPES:
+    if range_top or len(range_values) > _MAX_RETURN_RANGES:
         return_ranges: tuple[str, ...] = ()
     else:
         return_ranges = tuple(sorted(range_values))
     _tick("interval", pass_started)
-
-    # -- pass F: protocol typestate ----------------------------------
-    pass_started = time.perf_counter()
-    typestate = TypestateAnalysis(fnode, graph, summaries)
-    typestate_in = solve_forward(cfg, typestate)
-    typestate_facts = typestate.facts(cfg, typestate_in)
-    _tick("typestate", pass_started)
-
-    # -- pass G: may-raise set ---------------------------------------
-    pass_started = time.perf_counter()
-    raises_named, raises_top = encode_raises(
-        *may_raise(fnode, graph, summaries)
-    )
-    _tick("raises", pass_started)
 
     return FunctionSummary(
         qualname=fnode.qualname,
@@ -680,15 +553,8 @@ def summarize_function(
         returns_view_of=tuple(sorted(returns_view & set(tracked))),
         mutates=tuple(sorted(mutated & set(tracked))),
         rng_return_depth=rng_depth,
-        return_shapes=return_shapes,
         return_ranges=return_ranges,
         param_preconditions=tuple(sorted(preconditions)),
-        effects=effects,
-        raises_named=raises_named,
-        raises_top=raises_top,
-        typestate_tracked=typestate_facts.tracked,
-        typestate_transitions=typestate_facts.transitions,
-        typestate_obligations=typestate_facts.obligations,
     )
 
 
@@ -753,26 +619,6 @@ def _callee_return_ranges(
     return values
 
 
-def _callee_return_shapes(
-    graph: CallGraph,
-    summaries: dict[str, FunctionSummary],
-    call: ast.Call,
-):
-    """The shape hook: ``None`` for unresolved calls (numpy transfer
-    functions take over), the union of candidate return shapes for
-    resolved ones (empty = resolved-but-unknown = ⊤)."""
-    site = graph.callsites.get(id(call))
-    if site is None or not site.candidates:
-        return None
-    values = []
-    for qualname in site.candidates:
-        summary = summaries.get(qualname)
-        if summary is None or not summary.return_shapes:
-            return []  # ⊤ — never let numpy guesses shadow a callee
-        values.extend(decode(label) for label in summary.return_shapes)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # project-level driver with the SCC summary cache
 # ---------------------------------------------------------------------------
@@ -782,10 +628,11 @@ class InterprocAnalysis:
     """Call graph + condensation + summaries for one parsed corpus.
 
     Built lazily (once per scan) by
-    :meth:`xaidb.analysis.registry.ProjectContext.interproc`; the four
-    interprocedural rules share one instance.  ``cache`` is the shared
-    :class:`~xaidb.analysis.cache.LintCache`; ``file_digests`` maps
-    relpaths to content hashes and feeds the per-SCC Merkle keys.
+    :meth:`xaidb.analysis.registry.ProjectContext.interproc`; the
+    interprocedural and numeric rules share one instance.  ``cache`` is
+    the shared :class:`~xaidb.analysis.cache.LintCache`;
+    ``file_digests`` maps relpaths to content hashes and feeds the
+    per-SCC Merkle keys.
     """
 
     def __init__(
@@ -799,9 +646,8 @@ class InterprocAnalysis:
         self.summaries: dict[str, FunctionSummary] = {}
         self.hits = 0
         self.misses = 0
-        #: Wall seconds per summary pass (alias/seed/shape/effects/
-        #: interval/typestate/raises) across every recomputed SCC —
-        #: ``--stats`` fodder.
+        #: Wall seconds per summary pass (alias/seed/interval) across
+        #: every recomputed SCC — ``--stats`` fodder.
         self.pass_seconds: dict[str, float] = {}
         #: Every SCC cache key used this run (for cache pruning).
         self.used_keys: set[str] = set()
@@ -815,16 +661,13 @@ class InterprocAnalysis:
 
     def solution(self, kind: str, qualname: str):
         """Solved ``(cfg, problem, in_states)`` for ``qualname`` under
-        one of the rule-facing problems — ``"shape"``
-        (:class:`~xaidb.analysis.shapes.ShapeAnalysis`), ``"alias"``
+        one of the rule-facing problems — ``"alias"``
         (:class:`InterAliasTaint`, parameters seeded with their own
         names), ``"seed"`` (:class:`InterSeedTaint`, parameters seeded
         :data:`PARAM`) or ``"interval"``
         (:class:`~xaidb.analysis.intervals.IntervalAnalysis`,
         parameters seeded with opaque range labels, solved with
-        widening and branch refinement) or ``"typestate"``
-        (:class:`~xaidb.analysis.typestate.TypestateAnalysis`,
-        protocol DFAs per abstract object) — memoised so the
+        widening and branch refinement) — memoised so the
         interprocedural rules never re-run a fixpoint the scan already
         paid for."""
         memo_key = (kind, qualname)
@@ -832,14 +675,8 @@ class InterprocAnalysis:
             fnode = self.graph.functions[qualname]
             params = function_params(fnode.node)
             tracked = [p for p in params if p not in ("self", "cls")]
-            if kind == "shape":
-                problem: ValueTaint = ShapeAnalysis(
-                    callee_returns=lambda call: _callee_return_shapes(
-                        self.graph, self.summaries, call
-                    )
-                )
-            elif kind == "alias":
-                problem = InterAliasTaint(
+            if kind == "alias":
+                problem: ValueTaint = InterAliasTaint(
                     self.graph,
                     self.summaries,
                     entry={name: frozenset({name}) for name in tracked},
@@ -860,10 +697,6 @@ class InterprocAnalysis:
                         self.graph, self.summaries, call
                     ),
                 )
-            elif kind == "typestate":
-                problem = TypestateAnalysis(
-                    fnode, self.graph, self.summaries
-                )
             else:
                 raise ValueError(f"unknown solution kind: {kind!r}")
             cfg = function_cfg(fnode.node)
@@ -873,16 +706,6 @@ class InterprocAnalysis:
                 solved = solve_forward(cfg, problem)
             self._solutions[memo_key] = (cfg, problem, solved)
         return self._solutions[memo_key]
-
-    def summaries_for_call(
-        self, call: ast.Call
-    ) -> list[FunctionSummary]:
-        """Final summaries of every candidate callee (empty = ⊤)."""
-        return [
-            self.summaries[qualname]
-            for qualname in self.graph.resolve_call(call)
-            if qualname in self.summaries
-        ]
 
     # -- bottom-up computation ---------------------------------------
 

@@ -10,11 +10,7 @@ memoizes them under that key, so:
   seed per instance shares one design per distinct seed (and exactly
   one in the exhaustive regime);
 - repeated server requests against the same ``(model, explainer,
-  config)`` key reuse the cached arrays across dispatch batches;
-- the evaluation runtime can ship the masks to pool workers as a
-  :class:`~xaidb.runtime.parallel.SharedArrayRef` slice instead of
-  pickling mask chunks per task — the stable object identity of a
-  cached design is what makes the pool's id-memoized ``share()`` a hit.
+  config)`` key reuse the cached arrays across dispatch batches.
 
 Designs built from a non-reproducible ``random_state`` (a live
 ``Generator``, or ``None``) are returned uncached: caching them would

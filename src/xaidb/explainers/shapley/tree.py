@@ -445,7 +445,7 @@ class TreeShapExplainer(Explainer):
         Runs the leaf-lane kernel
         (:func:`~xaidb.explainers.shapley.tree_shap_kernels.ensemble_path_dependent_shap`)
         over the packed term decomposition; each row's attribution is
-        bitwise identical to the retained recursion
+        bitwise identical to the recursion oracle
         (:func:`path_dependent_tree_shap` summed over :attr:`terms_` in
         term order), whatever the rest of the batch holds.
 
@@ -494,8 +494,9 @@ class TreeShapExplainer(Explainer):
         Routed through the vectorized kernel
         (:func:`~xaidb.explainers.shapley.tree_shap_kernels.ensemble_interventional_shap`),
         which evaluates every leaf's AND-game against the whole
-        background at once; the retained per-row recursion
-        (:func:`interventional_tree_shap`) is the exactness oracle.
+        background at once.  The per-row recursion
+        (:func:`interventional_tree_shap`) is kept only as the test
+        suite's exactness oracle.
         """
         from xaidb.explainers.shapley.tree_shap_kernels import (
             ensemble_interventional_shap,

@@ -261,6 +261,12 @@ class ExplanationServer:
                     instances,
                     seeds,
                 )
+            # a short result list would strand the tail's futures
+            if len(results) != len(live):
+                raise ServiceError(
+                    f"{explainer_name} on {model} returned "
+                    f"{len(results)} results for {len(live)} instances"
+                )
         except ServiceError as exc:
             self._fail_group(live, exc)
             return

@@ -94,13 +94,7 @@ class ServiceStats:
         over interpolation so the reported p99 is a latency some request
         actually paid.  Returns 0.0 before any completion.
         """
-        if not 0.0 < q <= 100.0:
-            raise ValidationError("q must be in (0, 100]")
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        rank = math.ceil(q / 100.0 * len(ordered))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self._latencies), q)
 
     @property
     def p50_s(self) -> float:
@@ -133,6 +127,7 @@ class ServiceStats:
     def as_metadata(self) -> dict[str, Any]:
         """One serialisable block: serving counters + latency
         percentiles + the composed evaluation ledger."""
+        ordered = sorted(self._latencies)  # once for all three quantiles
         return {
             "n_received": int(self.n_received),
             "n_completed": int(self.n_completed),
@@ -146,8 +141,18 @@ class ServiceStats:
                 str(size): int(count)
                 for size, count in sorted(self.batch_sizes.items())
             },
-            "p50_s": float(self.p50_s),
-            "p95_s": float(self.p95_s),
-            "p99_s": float(self.p99_s),
+            "p50_s": float(_nearest_rank(ordered, 50.0)),
+            "p95_s": float(_nearest_rank(ordered, 95.0)),
+            "p99_s": float(_nearest_rank(ordered, 99.0)),
             "runtime": self.runtime.as_metadata(),
         }
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile of already-sorted samples, 0.0
+    when there are none."""
+    if not 0.0 < q <= 100.0:
+        raise ValidationError("q must be in (0, 100]")
+    if not ordered:
+        return 0.0
+    return ordered[math.ceil(q / 100.0 * len(ordered)) - 1]

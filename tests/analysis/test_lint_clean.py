@@ -1,8 +1,8 @@
 """Tier-1 gate: the repository itself must be xailint-clean.
 
 This is the machine-checked version of the DESIGN contract — every
-scientific-correctness invariant (XDB001–XDB008, see docs/LINTING.md)
-holds over ``src``, ``benchmarks``, ``examples`` and ``tools``.  A new
+scientific-correctness invariant (every registered XDB rule, see
+docs/LINTING.md) holds over ``src``, ``benchmarks``, ``examples`` and ``tools``.  A new
 violation either gets fixed or gets an inline
 ``# xailint: disable=XDB00N (reason)`` suppression that a reviewer can
 audit; weakening a rule is not an option.

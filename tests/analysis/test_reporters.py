@@ -11,6 +11,7 @@ from xaidb.analysis import (
     lint_source,
     render_github,
     render_json,
+    render_stats,
     render_text,
 )
 from xaidb.analysis.cli import main
@@ -87,6 +88,29 @@ class TestGithubReporter:
         assert "file=a%2Cb%3Ac.py," in out
         assert _github_escape_data("50%\r\ndone") == "50%25%0D%0Adone"
         assert _github_escape_property("f:1,2") == "f%3A1%2C2"
+
+
+class TestStatsReporter:
+    def test_per_rule_table_counts_findings_and_suppressions(self):
+        # one XDB007 finding, one suppressed XDB007, one XDB006 finding
+        source = (
+            "def f(x, bucket=[]):\n"
+            "    return bucket\n"
+            "def g(x, seen={}):  # xailint: disable=XDB007 (test fixture)\n"
+            "    return seen == 0.1\n"
+        )
+        result = lint_source(source)
+        assert [f.rule_id for f in result.findings] == ["XDB007", "XDB006"]
+        assert [f.rule_id for f in result.suppressed] == ["XDB007"]
+        rows = {
+            line.split()[0]: line.split()
+            for line in render_stats(result).splitlines()
+            if line.startswith("    XDB")
+        }
+        # rule id, time, "ms", findings, suppressed
+        assert rows["XDB007"][3:] == ["1", "1"]
+        assert rows["XDB006"][3:] == ["1", "0"]
+        assert rows["XDB001"][3:] == ["0", "0"]
 
 
 class TestCli:

@@ -1,5 +1,5 @@
 """Bottom-up function summaries: view/mutation transitivity, rng
-escape depths, abstract return shapes, and the ⊤ fallbacks."""
+escape depths, and the ⊤ fallbacks."""
 
 from __future__ import annotations
 
@@ -103,29 +103,6 @@ def test_caller_derived_seed_is_not_an_escape():
     assert analysis.summaries["xaidb.s.make"].rng_return_depth is None
 
 
-def test_return_shapes_flow_through_a_callee():
-    analysis = _analysis(
-        {
-            "xaidb.sh": (
-                "import numpy as np\n"
-                "\n"
-                "def basis():\n"
-                "    return np.zeros((3, 4))\n"
-                "\n"
-                "def project():\n"
-                "    return basis() @ np.ones((4, 2))\n"
-            )
-        }
-    )
-    assert analysis.summaries["xaidb.sh.basis"].return_shapes == (
-        "float64[3,4]",
-    )
-    # matmul of the callee's summary shape with a literal operand
-    assert analysis.summaries["xaidb.sh.project"].return_shapes == (
-        "float64[3,2]",
-    )
-
-
 def test_dynamic_scope_yields_the_bottom_summary():
     analysis = _analysis(
         {
@@ -140,7 +117,7 @@ def test_dynamic_scope_yields_the_bottom_summary():
     # locals() can read anything: claim nothing rather than guess
     assert summary.returns_view_of == ()
     assert summary.mutates == ()
-    assert summary.return_shapes == ()
+    assert summary.return_ranges == ()
 
 
 def test_solutions_are_memoised_and_kinds_are_validated():

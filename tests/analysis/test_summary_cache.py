@@ -32,7 +32,7 @@ def project(tmp_path):
     for target, fixture in (
         ("rng.py", "xdb016_dirty.py"),
         ("mutation.py", "xdb017_dirty.py"),
-        ("geometry.py", "xdb014_clean.py"),
+        ("scaling.py", "xdb023_clean.py"),
     ):
         (pkg / target).write_text(
             (FIXTURES / fixture).read_text(encoding="utf-8")
@@ -69,11 +69,11 @@ def test_untouched_corpus_serves_project_results_wholesale(project):
 def test_touching_one_file_recomputes_only_reachable_sccs(project):
     cold = _scan(project)
     total_sccs = cold.stats.summary_misses
-    geometry = project / "src" / "xaidb" / "geometry.py"
-    geometry.write_text(geometry.read_text() + "\n# touched\n")
+    scaling = project / "src" / "xaidb" / "scaling.py"
+    scaling.write_text(scaling.read_text() + "\n# touched\n")
     warm = _scan(project)
     assert not warm.stats.project_from_cache  # corpus digest changed
-    # same condensation, mostly served from cache: only geometry.py's
+    # same condensation, mostly served from cache: only scaling.py's
     # SCCs (nothing else calls into it) recompute
     assert warm.stats.summary_hits + warm.stats.summary_misses == total_sccs
     assert warm.stats.summary_hits > 0
@@ -83,8 +83,8 @@ def test_touching_one_file_recomputes_only_reachable_sccs(project):
 
 def test_warm_scan_is_finding_identical_to_an_uncached_scan(project):
     _scan(project)  # populate
-    geometry = project / "src" / "xaidb" / "geometry.py"
-    geometry.write_text(geometry.read_text() + "\n# touched\n")
+    scaling = project / "src" / "xaidb" / "scaling.py"
+    scaling.write_text(scaling.read_text() + "\n# touched\n")
     warm = _scan(project)
     assert warm.stats.summary_hits > 0  # summaries actually reused
     uncached = _scan(project, cached=False)
@@ -101,41 +101,17 @@ def test_corrupt_summary_entries_degrade_to_misses_not_wrong_results(
     for key in document["summaries"]:
         document["summaries"][key] = [{"bogus": 1}]
     cache_path.write_text(json.dumps(document))
-    geometry = project / "src" / "xaidb" / "geometry.py"
-    geometry.write_text(geometry.read_text() + "\n# touched\n")
+    scaling = project / "src" / "xaidb" / "scaling.py"
+    scaling.write_text(scaling.read_text() + "\n# touched\n")
     rescanned = _scan(project)
     assert rescanned.stats.summary_hits == 0  # nothing adoptable
     assert _fingerprint(rescanned) == _fingerprint(cold)
 
 
-def test_typestate_findings_survive_the_cache_round_trip(tmp_path):
-    """Pass F (typestate) and pass G (may-raise) live in the cached
-    summaries: a warm scan must replay the XDB028 findings — witness
-    lines included — without recomputing anything."""
-    fixtures = Path(__file__).parent / "fixtures"
-    pkg = tmp_path / "src" / "xaidb"
-    pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text('"""Typestate cache corpus."""\n')
-    (pkg / "lifecycle.py").write_text(
-        (fixtures / "xdb028_dirty.py").read_text(encoding="utf-8")
-    )
-    cold = _scan(tmp_path)
-    assert cold.counts_by_rule().get("XDB028") == 2
-    warm = _scan(tmp_path)
-    assert warm.stats.project_from_cache
-    assert warm.stats.summary_misses == 0
-    assert _fingerprint(warm) == _fingerprint(cold)
-    # the interprocedural witness is part of the replayed message
-    messages = " | ".join(f.message for f in warm.findings)
-    assert "the illegal call is inside xaidb.lifecycle._score_all:" in (
-        messages
-    )
-
-
 def test_cache_version_bump_invalidates_old_documents(project):
     from xaidb.analysis.cache import CACHE_VERSION
 
-    assert CACHE_VERSION == 4  # v4 added the pass F/G summary fields
+    assert CACHE_VERSION == 5  # v5 dropped the pass C/D/F/G fields
     cache_path = project / ".xailint_cache.json"
     cold = _scan(project)
     document = json.loads(cache_path.read_text())
@@ -150,11 +126,11 @@ def test_cache_version_bump_invalidates_old_documents(project):
 def test_stale_summary_keys_are_pruned_after_edits(project):
     cache_path = project / ".xailint_cache.json"
     _scan(project)
-    geometry = project / "src" / "xaidb" / "geometry.py"
-    geometry.write_text(geometry.read_text() + "\n# touched\n")
+    scaling = project / "src" / "xaidb" / "scaling.py"
+    scaling.write_text(scaling.read_text() + "\n# touched\n")
     rescan = _scan(project)
     document = json.loads(cache_path.read_text())
-    # content-addressed entries for the old geometry.py digests are
+    # content-addressed entries for the old scaling.py digests are
     # gone: the store holds exactly this run's SCC keys
     assert len(document["summaries"]) == (
         rescan.stats.summary_hits + rescan.stats.summary_misses

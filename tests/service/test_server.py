@@ -358,6 +358,60 @@ def test_backend_exception_wrapped_as_service_error():
     asyncio.run(run())
 
 
+def test_short_backend_result_fails_the_whole_group():
+    """A backend that returns one result fewer than it was given fails
+    its whole batch with a typed ServiceError instead of stranding the
+    last future; a batch-mate under another key still completes."""
+    dispatcher = Dispatcher()
+    dispatcher.register_model("m", lambda X: np.zeros(len(X)))
+
+    def short_factory(entry, config):
+        def run(instances, seeds):
+            return [float(i) for i in range(len(instances) - 1)], None
+
+        return run
+
+    def ok_factory(entry, config):
+        def run(instances, seeds):
+            return [float(i) for i in range(len(instances))], None
+
+        return run
+
+    dispatcher.register_explainer("short", short_factory)
+    dispatcher.register_explainer("ok", ok_factory)
+
+    async def run():
+        async with ExplanationServer(
+            dispatcher, max_batch_size=16, max_wait_s=0.05
+        ) as server:
+            requests = [
+                ExplainRequest(
+                    model="m", explainer="short", instance=np.zeros(2)
+                )
+                for _ in range(3)
+            ]
+            requests.append(
+                ExplainRequest(model="m", explainer="ok", instance=np.zeros(2))
+            )
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(server.submit(r) for r in requests),
+                    return_exceptions=True,
+                ),
+                timeout=5.0,
+            )
+            return outcomes, server.stats
+
+    outcomes, stats = asyncio.run(run())
+
+    for outcome in outcomes[:3]:
+        assert isinstance(outcome, ServiceError)
+        assert "returned 2 results for 3 instances" in str(outcome)
+    assert outcomes[3].result == 0.0
+    assert stats.n_failed == 3
+    assert stats.n_completed == 1
+
+
 def test_malformed_instance_fails_alone(served):
     """Three valid KernelSHAP requests and one a feature short share a
     batching window and a batch key: the short one gets a typed

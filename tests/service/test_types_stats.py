@@ -61,6 +61,10 @@ def test_percentiles_nearest_rank_on_fixed_sequence():
     assert stats.percentile(100.0) == pytest.approx(0.100)
     assert stats.percentile(1.0) == pytest.approx(0.001)
     assert stats.n_completed == 100
+    # the snapshot sorts once and reads the same three ranks
+    metadata = stats.as_metadata()
+    for q in (50.0, 95.0, 99.0):
+        assert metadata[f"p{q:.0f}_s"] == stats.percentile(q)
 
 
 def test_percentile_edge_cases():

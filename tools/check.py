@@ -28,16 +28,10 @@ Runs, in order, stopping at the first failure:
    finding-for-finding identical to a cold one and that the interval
    pass really is skipped, so a cache-keying bug in the numeric tier
    cannot change verdicts silently;
-7. a smoke run of the A14 typestate-lint benchmark
-   (``benchmarks/bench_a14_typestate_lint.py``, reduced scan set via
-   ``XAIDB_A14_SMOKE``) — the same warm≡cold identity for the
-   typestate (pass F) and may-raise (pass G) summaries, so the
-   XDB028-XDB032 tier replays from cache without losing its
-   interprocedural witnesses;
-8. a smoke run of the A15 explainer-kernel benchmark
+7. a smoke run of the A15 explainer-kernel benchmark
    (``benchmarks/bench_a15_explainer_kernels.py``, reduced workloads
    via ``XAIDB_A15_SMOKE``) — proves the leaf-lane TreeSHAP batch
-   path stays bitwise identical to the per-row recursion and the
+   path stays bitwise identical to the recursion oracle and the
    stacked KernelSHAP batch to per-instance ``explain`` calls through
    cached ``make_runtime`` runtimes, both meaningfully faster,
    and gates the single-row path: the step fails if explaining one row
@@ -188,18 +182,6 @@ STEPS: list[tuple[str, list[str]]] = [
         ],
     ),
     (
-        "A14 typestate-lint smoke",
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "-q",
-            "--benchmark-only",
-            "--benchmark-disable-gc",
-            str(REPO_ROOT / "benchmarks" / "bench_a14_typestate_lint.py"),
-        ],
-    ),
-    (
         "A15 explainer-kernel smoke",
         [
             sys.executable,
@@ -227,10 +209,6 @@ _ENV.setdefault("XAIDB_A12_SMOKE", "1")
 #: The A13 smoke scans only the linter's own sources and skips the
 #: BENCH_lint.json write (the committed record reflects full runs).
 _ENV.setdefault("XAIDB_A13_SMOKE", "1")
-
-#: The A14 smoke scans the protocol-dense modules (service, runtime,
-#: analysis) and likewise skips the BENCH_lint.json write.
-_ENV.setdefault("XAIDB_A14_SMOKE", "1")
 
 #: The A15 smoke shrinks every explainer workload, loosens the speedup
 #: bars (except the batch-of-one TreeSHAP gate: kernel no slower than
