@@ -14,9 +14,10 @@ ledger —
 2. *chunking*: ``max_batch_rows`` bounds the peak rows per
    ``predict_fn`` call (the memory ceiling) while leaving the
    attributions bit-identical;
-3. *parallelism*: TMC-Shapley with ``n_jobs > 1`` returns bitwise the
-   same values as the serial run under the same seed, because each
-   permutation draws from its own spawned child seed.
+3. *parallelism*: TMC-Shapley with ``n_jobs > 1`` really runs on the
+   worker pool (no serial fallback) and returns bitwise the same values
+   as the serial run under the same seed, because each permutation
+   draws from its own spawned child seed.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from xaidb.data import make_income
 from xaidb.datavaluation import UtilityFunction, tmc_shapley_values
 from xaidb.explainers.shapley import KernelShapExplainer
 from xaidb.models import KNeighborsClassifier
-from xaidb.runtime import RuntimeConfig
+from xaidb.runtime import EvalStats, RuntimeConfig, WorkerPool
 
 # 2^10 - 2 = 1022 coalitions fits the default budget, so every explain
 # call enumerates the same exhaustive coalition set — the fully
@@ -113,7 +114,9 @@ def _chunking_row():
 
 def _parallel_tmc_row():
     """The parallelism lever: spawned per-permutation seeds make the
-    process-pool run reproduce the serial run bitwise."""
+    process-pool run reproduce the serial run bitwise.  A fan-out that
+    quietly fell back to serial would match trivially, so the pool must
+    also have served the map."""
     workload = make_income(300, random_state=0)
     train, valid = workload.dataset.split(test_fraction=0.4, random_state=1)
     X, y = train.X[:40], train.y[:40]
@@ -123,16 +126,23 @@ def _parallel_tmc_row():
     serial, __ = tmc_shapley_values(
         utility, X, y, n_permutations=16, random_state=0,
     )
+    stats = EvalStats()
+    maps_before = WorkerPool.get().n_maps
     parallel, __ = tmc_shapley_values(
         utility, X, y, n_permutations=16, random_state=0, n_jobs=2,
+        stats=stats,
     )
-    return bool(np.array_equal(serial, parallel))
+    pooled = (
+        stats.n_serial_fallbacks == 0
+        and WorkerPool.get().n_maps > maps_before
+    )
+    return bool(np.array_equal(serial, parallel)), pooled
 
 
 def compute_rows():
     cold, shared, hit_rates = _repeated_workload_rows()
     unchunked, chunked, max_batch_rows, identical = _chunking_row()
-    tmc_match = _parallel_tmc_row()
+    tmc_match, tmc_pooled = _parallel_tmc_row()
     rows = [
         ("kernelshap x3, cold cache", cold.n_rows, cold.peak_rows, "-"),
         (
@@ -151,7 +161,8 @@ def compute_rows():
             "tmc n_jobs=2 vs serial",
             "-",
             "-",
-            "bit-identical" if tmc_match else "DIVERGED",
+            ("bit-identical" if tmc_match else "DIVERGED")
+            + (", pooled" if tmc_pooled else ", SERIAL FALLBACK"),
         ),
     ]
     context = {
@@ -163,6 +174,7 @@ def compute_rows():
         "chunk_identical": identical,
         "final_hit_rate": hit_rates[-1],
         "tmc_match": tmc_match,
+        "tmc_pooled": tmc_pooled,
     }
     return rows, context
 
@@ -184,5 +196,6 @@ def test_a07_runtime_scaling(benchmark):
     assert context["unchunked"].peak_rows > context["max_batch_rows"]
     assert context["chunked"].peak_rows <= context["max_batch_rows"]
     assert context["chunk_identical"]
-    # parallelism: same seed, same values, pool or not
+    # parallelism: same seed, same values, pool or not — and the pool ran
     assert context["tmc_match"]
+    assert context["tmc_pooled"]

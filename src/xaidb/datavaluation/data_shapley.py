@@ -9,6 +9,10 @@ prefix retraining as points join, and *truncates* a permutation once the
 running utility is within ``truncation_tolerance`` of the full-data
 utility (later points then contribute ~nothing).  The tolerance is the
 E14 ablation knob.
+
+The permutation walks are the one loop in :mod:`xaidb` that runs in
+worker processes: ``n_jobs > 1`` fans them out over the persistent
+:class:`~xaidb.runtime.WorkerPool`, bit-identically to the serial run.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from xaidb.datavaluation.utility import UtilityFunction
 from xaidb.exceptions import ValidationError
-from xaidb.runtime import EvalStats, WorkerPool, parallel_map, resolve_shared
+from xaidb.runtime import EvalStats, parallel_map
 from xaidb.utils.rng import RandomState, check_random_state, spawn_seeds
 from xaidb.utils.validation import check_array, check_matching_lengths
 
@@ -25,16 +29,16 @@ __all__ = ["tmc_shapley_values", "DataShapley"]
 
 
 def _tmc_permutation(
-    task: tuple[UtilityFunction, object, object, int, float, float, float],
+    task: tuple[
+        UtilityFunction, np.ndarray, np.ndarray, int, float, float, float
+    ],
 ) -> np.ndarray:
     """Walk one seeded permutation — the process-pool work unit.
 
     Each permutation derives its ordering from its own spawned seed, so
     the walk is independent of every other permutation and of execution
-    order: serial and parallel runs are bit-identical.  On the pooled
-    path the training arrays arrive as
-    :class:`~xaidb.runtime.SharedArrayRef` handles (attached once per
-    worker process), serially as the plain arrays.
+    order: serial and parallel runs are bit-identical.  The task is
+    pickled whole on the pooled path, training arrays included.
     """
     (
         utility,
@@ -45,8 +49,6 @@ def _tmc_permutation(
         null_utility,
         truncation_tolerance,
     ) = task
-    X_train = resolve_shared(X_train)
-    y_train = resolve_shared(y_train)
     n = len(y_train)
     order = check_random_state(seed).permutation(n)
     sample = np.zeros(n)
@@ -80,12 +82,10 @@ def tmc_shapley_values(
         Worker processes for the (embarrassingly parallel) permutation
         walks; ``None``/``1`` runs serially.  Values are bit-identical
         for every ``n_jobs`` under a fixed ``random_state`` — each
-        permutation owns a spawned child seed.  On the pooled path the
-        training arrays are shipped once through the worker pool's
-        shared-memory arena instead of pickled into every task.
+        permutation owns a spawned child seed.
     stats:
         Optional :class:`~xaidb.runtime.EvalStats` ledger; pooled walks
-        record warm-pool reuse there.
+        record warm-pool reuse and serial fallbacks there.
 
     Returns
     -------
@@ -100,19 +100,13 @@ def tmc_shapley_values(
     full_utility = utility(X_train, y_train)
     null_utility = utility.null_utility()
     seeds = spawn_seeds(random_state, n_permutations)
-    X_payload: object = X_train
-    y_payload: object = y_train
-    if n_jobs is not None and n_jobs > 1:
-        pool = WorkerPool.get()
-        X_payload = pool.share(X_train)
-        y_payload = pool.share(y_train)
     walks = parallel_map(
         _tmc_permutation,
         [
             (
                 utility,
-                X_payload,
-                y_payload,
+                X_train,
+                y_train,
                 seed,
                 full_utility,
                 null_utility,

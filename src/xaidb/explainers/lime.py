@@ -25,23 +25,13 @@ from xaidb.data.dataset import Dataset
 from xaidb.data.perturbation import LimeTabularSampler
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
-from xaidb.runtime import EvalStats, WorkerPool, parallel_map, resolve_shared
+from xaidb.runtime import EvalStats
 from xaidb.utils.kernels import exponential_kernel
 from xaidb.utils.linalg import solve_psd
 from xaidb.utils.rng import RandomState, check_random_state, spawn_seeds
 from xaidb.utils.validation import check_array, check_positive
 
 __all__ = ["LimeExplanation", "LimeExplainer"]
-
-
-def _explain_one(task) -> "LimeExplanation":
-    """One seeded single-instance explanation — the process-pool work
-    unit for :meth:`LimeExplainer.explain_batch`.  The instance batch
-    arrives as a :class:`~xaidb.runtime.SharedArrayRef` on the pooled
-    path (attached once per worker), or as the plain array serially."""
-    explainer, predict_fn, instances, index, seed = task
-    instance = np.asarray(resolve_shared(instances)[index])
-    return explainer.explain(predict_fn, instance, random_state=seed)
 
 
 class LimeExplanation(FeatureAttribution):
@@ -104,7 +94,7 @@ class LimeExplainer(Explainer):
         self.n_features_to_show = n_features_to_show
         self.sampler = LimeTabularSampler(dataset)
         #: Ledger of the most recent :meth:`explain_batch` call
-        #: (throughput + warm-pool reuse across repeated batches).
+        #: (rows scored and wall time, read by the serving dispatcher).
         self.batch_stats_: EvalStats | None = None
 
     # ------------------------------------------------------------------
@@ -176,18 +166,11 @@ class LimeExplainer(Explainer):
         *,
         random_state: RandomState = None,
         seeds: list[int | None] | None = None,
-        n_jobs: int | None = None,
     ) -> list[LimeExplanation]:
-        """Explain many instances, optionally across worker processes.
+        """Explain many instances, one seeded :meth:`explain` each.
 
         Each instance's explanation derives all randomness from its own
-        spawned child seed, so the result list is bit-identical for
-        every ``n_jobs`` under a fixed ``random_state`` (a ``predict_fn``
-        the pool cannot pickle — e.g. a lambda adapter — transparently
-        degrades to the serial path).  On the pooled path the instance
-        batch is shipped once through the worker pool's shared-memory
-        arena rather than pickled per task; :attr:`batch_stats_` records
-        the run, including warm-pool reuse across repeated calls.
+        spawned child seed; :attr:`batch_stats_` records the run.
 
         ``seeds`` overrides the spawned child seeds with one explicit
         per-instance seed each — the serving dispatcher's entry point,
@@ -202,19 +185,11 @@ class LimeExplainer(Explainer):
                 f"got {len(seeds)} seeds for {instances.shape[0]} instances"
             )
         self.batch_stats_ = EvalStats()
-        payload = instances
-        if n_jobs is not None and n_jobs > 1:
-            payload = WorkerPool.get().share(instances)
         with self.batch_stats_.timer():
-            explanations = parallel_map(
-                _explain_one,
-                [
-                    (self, predict_fn, payload, i, seeds[i])
-                    for i in range(instances.shape[0])
-                ],
-                n_jobs=n_jobs,
-                stats=self.batch_stats_,
-            )
+            explanations = [
+                self.explain(predict_fn, instance, random_state=seed)
+                for instance, seed in zip(instances, seeds)
+            ]
         for explanation in explanations:
             self.batch_stats_.count_rows(
                 explanation.metadata.get("n_model_evals", 0)

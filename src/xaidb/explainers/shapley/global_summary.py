@@ -44,8 +44,8 @@ def shap_matrix(explain_fn: ExplainFn, X: np.ndarray) -> np.ndarray:
     ``explain_fn`` is called once per row — unless it carries an
     ``explain_batch`` attribute (``X -> sequence of FeatureAttribution``),
     in which case the whole dataset goes through that one call so the
-    explainer can amortise its setup (warm worker pool, shared-memory
-    instance batch, the TreeSHAP lane program) across rows.  Adapters
+    explainer can amortise its setup (KernelSHAP's stacked solve, the
+    TreeSHAP lane program) across rows.  Adapters
     around :meth:`xaidb.explainers.lime.LimeExplainer.explain_batch` are
     the canonical provider; passing a bound ``explainer.explain`` method
     also works — the batch entry point is resolved from the owning

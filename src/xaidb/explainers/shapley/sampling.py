@@ -6,12 +6,9 @@ predecessors.  With antithetic sampling every permutation is paired with
 its reverse, which cancels a large share of the variance at no extra
 model cost.
 
-Draws are independent given their seeds: each one derives its ordering
-from a child seed spawned via :func:`xaidb.utils.rng.spawn_seeds`, so the
-estimator is *embarrassingly parallel* — ``n_jobs > 1`` fans draws out
-over :func:`xaidb.runtime.parallel_map` and returns bit-identical values
-to the serial path (workers trade the cross-permutation memo cache for
-wall-clock; the values themselves are deterministic either way).
+Each draw derives its ordering from a child seed spawned via
+:func:`xaidb.utils.rng.spawn_seeds`, and all draws share one memo cache,
+so orderings that revisit a coalition pay for it once.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
 from xaidb.explainers.shapley.games import CachedGame, Game, MarginalImputationGame
-from xaidb.runtime import EvalStats, GameRuntime, RuntimeConfig, parallel_map
+from xaidb.runtime import GameRuntime, RuntimeConfig
 from xaidb.utils.rng import RandomState, check_random_state, spawn_seeds
 from xaidb.utils.validation import check_array
 
@@ -42,42 +39,14 @@ def _walk(game: Game, order: np.ndarray) -> np.ndarray:
     return marginal
 
 
-def _permutation_draw(
-    task: tuple[Game, int, bool],
-) -> list[np.ndarray]:
-    """One seeded draw (plus its antithetic partner) — the process-pool
-    work unit.  All randomness comes from the task's spawned seed."""
-    game, seed, antithetic = task
-    order = check_random_state(seed).permutation(game.n_players)
-    walks = [_walk(game, order)]
-    if antithetic:
-        walks.append(_walk(game, order[::-1]))
-    return walks
-
-
 def permutation_shapley_values(
     game: Game,
     n_permutations: int = 200,
     *,
     antithetic: bool = True,
     random_state: RandomState = None,
-    n_jobs: int | None = None,
-    stats: EvalStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo Shapley values.
-
-    Parameters
-    ----------
-    n_jobs:
-        Worker processes for the independent permutation draws
-        (``None``/``1`` = serial, sharing one memo cache across draws).
-        Parallel and serial return identical values for a fixed
-        ``random_state``.
-    stats:
-        Optional :class:`~xaidb.runtime.EvalStats` ledger; pooled draws
-        record warm-pool reuse there (a :class:`~xaidb.runtime.
-        GameRuntime` caller passes its own stats, so reuse shows up in
-        the attribution metadata).
 
     Returns
     -------
@@ -91,13 +60,12 @@ def permutation_shapley_values(
     n = game.n_players
     n_draws = (n_permutations + 1) // 2 if antithetic else n_permutations
     seeds = spawn_seeds(random_state, n_draws)
-    draws = parallel_map(
-        _permutation_draw,
-        [(cached, seed, antithetic) for seed in seeds],
-        n_jobs=n_jobs,
-        stats=stats,
-    )
-    contributions = [walk for draw in draws for walk in draw]
+    contributions: list[np.ndarray] = []
+    for seed in seeds:
+        order = check_random_state(seed).permutation(n)
+        contributions.append(_walk(cached, order))
+        if antithetic:
+            contributions.append(_walk(cached, order[::-1]))
     samples = np.asarray(contributions[:n_permutations])
     phi = samples.mean(axis=0)
     if len(samples) > 1:
@@ -148,8 +116,6 @@ class PermutationShapleyExplainer(Explainer):
                 self.n_permutations,
                 antithetic=self.antithetic,
                 random_state=random_state,
-                n_jobs=self.config.n_jobs,
-                stats=runtime.stats,
             )
             base_value = runtime.empty_value()
             prediction = runtime.grand_value()

@@ -8,13 +8,9 @@ This package is where that budget is managed for the whole system:
   bounded-memory chunked evaluation (``max_batch_rows``);
 - :class:`CoalitionCache` — the underlying mask-keyed memo store;
 - :func:`parallel_map` — opt-in, seed-deterministic pooled map for
-  embarrassingly parallel outer loops (TMC permutations, permutation
-  draws, multi-instance batches), riding the persistent
-  :class:`WorkerPool` so workers survive across calls;
-- :class:`WorkerPool` / :class:`SharedArrayRef` — the lazy pool
-  singleton and its shared-memory arena: large read-only arrays
-  (background data, instance batches) cross the process boundary once
-  per worker instead of once per task;
+  embarrassingly parallel outer loops (TMC Data Shapley's permutation
+  walks), riding the persistent :class:`WorkerPool` so workers survive
+  across calls;
 - :class:`EvalStats` — the evaluation ledger (``n_model_evals``,
   ``cache_hit_rate``, ``wall_time_s``) surfaced in every
   :class:`~xaidb.explainers.base.FeatureAttribution`'s metadata;
@@ -26,12 +22,7 @@ See ``docs/RUNTIME.md`` and ``docs/PERFORMANCE.md`` for the full tour.
 
 from xaidb.runtime.cache import CoalitionCache
 from xaidb.runtime.evaluator import GameRuntime, RuntimeConfig
-from xaidb.runtime.parallel import (
-    SharedArrayRef,
-    WorkerPool,
-    parallel_map,
-    resolve_shared,
-)
+from xaidb.runtime.parallel import WorkerPool, parallel_map
 from xaidb.runtime.stats import EvalStats
 
 __all__ = [
@@ -39,8 +30,6 @@ __all__ = [
     "EvalStats",
     "GameRuntime",
     "RuntimeConfig",
-    "SharedArrayRef",
     "WorkerPool",
     "parallel_map",
-    "resolve_shared",
 ]

@@ -42,12 +42,6 @@ class RuntimeConfig:
     max_batch_rows:
         Upper bound on hybrid-matrix rows materialised per model call;
         ``None`` evaluates each batch in one shot (the seed behaviour).
-    n_jobs:
-        Worker processes for embarrassingly parallel outer loops
-        (``None``/``1`` = serial), consumed by the explainers that have
-        one (permutation-sampling Shapley draws).  :class:`GameRuntime`
-        does not read it: its games' ``predict_fn`` is an unpicklable
-        counting wrapper, so batch evaluation always runs in-process.
     max_cache_entries:
         Capacity bound on the coalition memo cache (FIFO eviction,
         ``None`` = unbounded).  The default is far above any single
@@ -59,14 +53,11 @@ class RuntimeConfig:
 
     cache: bool = True
     max_batch_rows: int | None = 16384
-    n_jobs: int | None = None
     max_cache_entries: int | None = DEFAULT_MAX_ENTRIES
 
     def __post_init__(self) -> None:
         if self.max_batch_rows is not None and self.max_batch_rows < 1:
             raise ValidationError("max_batch_rows must be >= 1 or None")
-        if self.n_jobs is not None and self.n_jobs < 1:
-            raise ValidationError("n_jobs must be >= 1 or None")
         if self.max_cache_entries is not None and self.max_cache_entries < 1:
             raise ValidationError("max_cache_entries must be >= 1 or None")
 

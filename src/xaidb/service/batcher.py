@@ -78,6 +78,9 @@ class MicroBatcher:
         self._queue: asyncio.Queue[PendingRequest] = asyncio.Queue(
             maxsize=max_queue_depth
         )
+        #: Requests taken off the queue by a :meth:`next_batch` whose
+        #: window has not closed yet.
+        self._window: list[PendingRequest] = []
 
     # ------------------------------------------------------------------
     @property
@@ -111,6 +114,10 @@ class MicroBatcher:
             ):
                 batch.append(self._queue.get_nowait())
             return batch
+        # the window stays open across awaits: hold it on the batcher,
+        # not only in this frame, so a shutdown that cancels the drain
+        # mid-window still finds it in drain_nowait()
+        self._window = batch
         loop = asyncio.get_running_loop()
         closes_at = loop.time() + self.max_wait_s
         while len(batch) < self.max_batch_size:
@@ -123,12 +130,14 @@ class MicroBatcher:
                 )
             except asyncio.TimeoutError:
                 break
+        self._window = []
         return batch
 
     def drain_nowait(self) -> list[PendingRequest]:
-        """Remove and return everything currently queued (shutdown
-        path: the server fails these with a typed error)."""
-        drained: list[PendingRequest] = []
+        """Remove and return the open batching window plus everything
+        still queued (shutdown path: the server fails these with a
+        typed error)."""
+        drained, self._window = self._window, []
         while not self._queue.empty():
             drained.append(self._queue.get_nowait())
         return drained

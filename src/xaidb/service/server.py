@@ -21,7 +21,9 @@ seed, and every backend's batch entry point reproduces the serial
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
+from typing import AsyncIterator
 
 import numpy as np
 
@@ -90,7 +92,10 @@ class ExplanationServer:
         )
         self._serve_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
-        self._key_locks: dict[tuple[str, str, str], asyncio.Lock] = {}
+        #: ``batch key -> [lock, dispatches waiting on or holding it]``;
+        #: a key leaves when its count drops to zero, so client-chosen
+        #: config digests cannot grow the map forever.
+        self._key_locks: dict[tuple[str, str, str], list] = {}
         self._ids = itertools.count(1)
 
     # ------------------------------------------------------------ lifecycle
@@ -241,9 +246,6 @@ class ExplanationServer:
         self.stats.record_batch(len(live))
         for entry in live:
             entry.batch_size = len(live)
-        # backends carry per-call state (batch ledgers, samplers): one
-        # in-flight dispatch per batch key, while distinct keys overlap
-        lock = self._key_locks.setdefault(key, asyncio.Lock())
         try:
             # assembly sits inside the failure boundary too: whatever it
             # raises must reach every waiter as a typed error
@@ -252,7 +254,7 @@ class ExplanationServer:
             ).astype(float)
             seeds = [entry.request.random_state for entry in live]
             config = dict(live[0].request.config)
-            async with lock:
+            async with self._key_lock(key):
                 results, run_stats = await asyncio.to_thread(
                     self.dispatcher.dispatch,
                     model,
@@ -284,6 +286,29 @@ class ExplanationServer:
         for entry, result in zip(live, results):
             if not entry.future.done():
                 entry.future.set_result(result)
+
+    @contextlib.asynccontextmanager
+    async def _key_lock(
+        self, key: tuple[str, str, str]
+    ) -> AsyncIterator[None]:
+        """Hold ``key``'s dispatch lock.
+
+        Backends carry per-call state (batch ledgers, samplers): one
+        in-flight dispatch per batch key, while distinct keys overlap.
+        The lock is dropped only once no dispatch waits on or holds it,
+        so two batches under one key never run under different locks.
+        """
+        slot = self._key_locks.get(key)
+        if slot is None:
+            slot = self._key_locks[key] = [asyncio.Lock(), 0]
+        slot[1] += 1
+        try:
+            async with slot[0]:
+                yield
+        finally:
+            slot[1] -= 1
+            if slot[1] == 0:
+                del self._key_locks[key]
 
     @staticmethod
     def _fail_group(

@@ -12,8 +12,8 @@ Three contracts, each pinned bitwise:
   per-background recursion;
 - the stacked KernelSHAP pipeline equals an independent per-instance
   reference (:mod:`.kernel_oracle`) in both the exhaustive and sampled
-  regimes, and runtime mask evaluation is bitwise the same for any
-  ``n_jobs``.
+  regimes, and runtime mask evaluation is bitwise the game's own
+  ``values_batch``.
 """
 
 from __future__ import annotations
@@ -451,31 +451,30 @@ class TestStackedKernelShap:
 
 
 # ------------------------------------------------------------------
-# arena masks through the runtime, for any n_jobs
+# arena masks through the runtime
 # ------------------------------------------------------------------
 def _linear_predict(Z):
     return np.asarray(Z).sum(axis=1)
 
 
 class TestMaskArenaAcrossWorkers:
-    def test_n_jobs_bit_identity(self):
+    def test_runtime_matches_direct_values_batch(self):
         rng = np.random.default_rng(2)
         background = rng.normal(size=(18, 8))
         x = rng.normal(size=8)
         masks, __ = kernel_shap_design(8, 254)  # read-only arena design
-        results = {}
-        for n_jobs in (None, 1, 4):
-            runtime = GameRuntime(
-                MarginalImputationGame(_linear_predict, x, background),
-                config=RuntimeConfig(cache=False, n_jobs=n_jobs),
-            )
-            results[n_jobs] = runtime.values_batch(masks)
-        assert np.array_equal(results[None], results[1])
-        assert np.array_equal(results[None], results[4])
+        runtime = GameRuntime(
+            MarginalImputationGame(_linear_predict, x, background),
+            config=RuntimeConfig(cache=False),
+        )
+        reference = MarginalImputationGame(
+            _linear_predict, x, background
+        ).values_batch(masks, max_batch_rows=runtime.config.max_batch_rows)
+        assert np.array_equal(runtime.values_batch(masks), reference)
 
     def test_cached_runtime_preserves_arena_identity(self):
         # a cold cached runtime hands a duplicate-free arena design to
-        # the game as-is (no copy), in-process whatever n_jobs says
+        # the game as-is (no copy)
         rng = np.random.default_rng(4)
         background = rng.normal(size=(10, 7))
         x = rng.normal(size=7)
@@ -489,7 +488,7 @@ class TestMaskArenaAcrossWorkers:
             return evaluate(batch, max_batch_rows=max_batch_rows)
 
         game.values_batch = spy
-        runtime = GameRuntime(game, config=RuntimeConfig(cache=True, n_jobs=4))
+        runtime = GameRuntime(game, config=RuntimeConfig(cache=True))
         values = runtime.values_batch(masks)
         assert len(seen) == 1 and seen[0] is masks
         reference = MarginalImputationGame(

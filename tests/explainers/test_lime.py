@@ -3,6 +3,7 @@ import pytest
 
 from xaidb.exceptions import ValidationError
 from xaidb.explainers import LimeExplainer, predict_positive_proba
+from xaidb.utils.rng import spawn_seeds
 
 
 class TestLimeExplainer:
@@ -87,3 +88,25 @@ class TestLimeExplainer:
             return float(runs.std(axis=0).mean())
 
         assert spread(2000) < spread(100)
+
+    @pytest.mark.parametrize("mode", ["seeds", "random_state"])
+    def test_batch_equals_per_row_explain(self, income, income_forest, mode):
+        """``explain_batch`` is ``explain`` per row under each row's seed:
+        explicit ``seeds=``, or children spawned from ``random_state=``."""
+        lime = LimeExplainer(income.dataset, n_samples=120)
+        f = predict_positive_proba(income_forest)
+        X = income.dataset.X[:5]
+        if mode == "seeds":
+            seeds = [11, 3, 0, 11, 7]
+            batch = lime.explain_batch(f, X, seeds=seeds)
+        else:
+            seeds = spawn_seeds(4, len(X))
+            batch = lime.explain_batch(f, X, random_state=4)
+        assert len(batch) == len(X)
+        for row, seed, got in zip(X, seeds, batch):
+            want = lime.explain(f, row, random_state=seed)
+            assert np.array_equal(got.values, want.values)
+            assert got.base_value == want.base_value
+            assert got.prediction == want.prediction
+            assert got.metadata["score"] == want.metadata["score"]
+        assert lime.batch_stats_.n_model_evals == len(X) * lime.n_samples

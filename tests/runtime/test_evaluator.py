@@ -122,5 +122,3 @@ def test_validation():
         runtime.value([D + 3])
     with pytest.raises(ValidationError):
         RuntimeConfig(max_batch_rows=0)
-    with pytest.raises(ValidationError):
-        RuntimeConfig(n_jobs=0)

@@ -1,5 +1,5 @@
 """parallel_map semantics and the serial == parallel determinism
-contract for the explainers that ride on it."""
+contract for TMC Data Shapley, the one explainer that rides on it."""
 
 from __future__ import annotations
 
@@ -59,23 +59,3 @@ def test_parallel_tmc_matches_serial_bitwise():
     assert np.array_equal(serial, pooled)
     assert np.array_equal(serial_std, pooled_std)
 
-
-def test_parallel_permutation_shapley_matches_serial_bitwise():
-    from xaidb.explainers.shapley.games import MarginalImputationGame
-    from xaidb.explainers.shapley.sampling import permutation_shapley_values
-
-    rng = np.random.default_rng(9)
-    weights = rng.normal(size=5)
-    game = MarginalImputationGame(
-        lambda X: X @ weights, rng.normal(size=5), rng.normal(size=(8, 5))
-    )
-    serial, serial_se = permutation_shapley_values(
-        game, n_permutations=12, random_state=4
-    )
-    # the game's predict_fn closure is unpicklable, so the pool path
-    # exercises the serial fallback — the contract is identical output
-    pooled, pooled_se = permutation_shapley_values(
-        game, n_permutations=12, random_state=4, n_jobs=2
-    )
-    assert np.array_equal(serial, pooled)
-    assert np.array_equal(serial_se, pooled_se)

@@ -1,39 +1,22 @@
-"""The persistent WorkerPool: shared-memory round-trips, warm-worker
-reuse accounting, and the bit-identical-for-every-``n_jobs`` contract."""
+"""The persistent WorkerPool: warm-worker reuse accounting, the serial
+fallback, and the bit-identical-for-every-``n_jobs`` contract."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from xaidb.runtime import (
-    EvalStats,
-    SharedArrayRef,
-    WorkerPool,
-    parallel_map,
-    resolve_shared,
-)
+from xaidb.runtime import EvalStats, WorkerPool, parallel_map
 
 
 def _seeded_draw(seed: int) -> np.ndarray:  # module-level: picklable
     return np.random.default_rng(seed).normal(size=3)
 
 
-def _shared_row_sum(task) -> float:  # module-level: picklable
-    payload, index = task
-    return float(resolve_shared(payload)[index].sum())
-
-
-def _mutate_shared(task):  # module-level: picklable, and wrong on purpose
-    payload, value = task
-    resolve_shared(payload)[0, 0] = value
-    return value
-
-
 @pytest.fixture()
 def fresh_pool():
     """A cold singleton for tests that assert on reuse counters, with
-    guaranteed cleanup of workers and shared segments."""
+    guaranteed cleanup of its workers."""
     WorkerPool.close_global()
     yield WorkerPool.get()
     WorkerPool.close_global()
@@ -48,36 +31,6 @@ def test_results_bit_identical_across_n_jobs(fresh_pool):
         assert len(results) == len(reference)
         for got, want in zip(results, reference):
             assert np.array_equal(got, want)
-
-
-# ------------------------------------------------------------ shared arena
-def test_shared_array_round_trip(fresh_pool):
-    array = np.arange(12, dtype=float).reshape(4, 3)
-    ref = fresh_pool.share(array)
-    assert isinstance(ref, SharedArrayRef)
-    loaded = ref.load()
-    assert np.array_equal(loaded, array)
-    assert not loaded.flags.writeable  # read-only view, by contract
-    # identity passthrough for plain arrays
-    assert resolve_shared(array) is array
-    assert np.array_equal(resolve_shared(ref), array)
-
-
-def test_share_is_memoised_per_source_object(fresh_pool):
-    array = np.ones((5, 2))
-    assert fresh_pool.share(array) is fresh_pool.share(array)
-    assert fresh_pool.n_shared_arrays == 1
-
-
-def test_shared_payload_crosses_process_boundary(fresh_pool):
-    array = np.arange(20, dtype=float).reshape(5, 4)
-    ref = fresh_pool.share(array)
-    tasks = [(ref, i) for i in range(5)]
-    serial = parallel_map(
-        _shared_row_sum, [(array, i) for i in range(5)]
-    )
-    pooled = parallel_map(_shared_row_sum, tasks, n_jobs=2)
-    assert pooled == serial == [float(row.sum()) for row in array]
 
 
 # ------------------------------------------------------------ reuse ledger
@@ -128,22 +81,9 @@ def test_repeated_data_shapley_fits_reuse_warm_pool(fresh_pool):
         random_state=3
     )
     assert np.array_equal(serial.values_, pooled.values_)
-    # the training arrays crossed the boundary via the shared arena
-    assert fresh_pool.n_shared_arrays == 2
 
 
 # ------------------------------------------------------------ contract edges
-def test_task_mutating_shared_array_raises_not_corrupts(fresh_pool):
-    """The arena is read-only by contract; a task that writes anyway
-    must fail loudly (ValueError is *not* a pool-fallback failure) and
-    leave the shared buffer unscathed for every other worker."""
-    array = np.arange(6, dtype=float).reshape(2, 3)
-    ref = fresh_pool.share(array)
-    with pytest.raises(ValueError):
-        parallel_map(_mutate_shared, [(ref, 99.0), (ref, 98.0)], n_jobs=2)
-    assert np.array_equal(ref.load(), array)
-
-
 def test_unpicklable_task_counts_a_serial_fallback(fresh_pool):
     stats = EvalStats()
     results = parallel_map(
@@ -178,15 +118,3 @@ def test_bit_identity_under_both_start_methods(method, monkeypatch):
     finally:
         WorkerPool.close_global()
 
-
-# ------------------------------------------------------------ lifecycle
-def test_close_unlinks_segments_and_resets_singleton(fresh_pool):
-    ref = fresh_pool.share(np.zeros(4))
-    WorkerPool.close_global()
-    from multiprocessing import shared_memory
-
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=ref.name)
-    replacement = WorkerPool.get()
-    assert replacement is not fresh_pool
-    assert replacement.n_shared_arrays == 0

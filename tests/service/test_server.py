@@ -17,6 +17,7 @@ The invariants the serving layer stakes its correctness on:
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -501,3 +502,118 @@ def test_stop_fails_queued_requests():
     # the in-flight batch completes; everything still queued fails typed
     assert sum(1 for o in outcomes if isinstance(o, ServiceError)) == 2
     assert sum(1 for o in outcomes if not isinstance(o, Exception)) == 1
+
+
+def test_stop_fails_the_open_batching_window():
+    """A request already drained into a batching window that is still
+    open when ``stop()`` arrives fails typed instead of hanging."""
+    dispatcher = _slow_backend_dispatcher(sleep_s=0.0)
+
+    async def run():
+        server = ExplanationServer(dispatcher, max_wait_s=1.0)
+        await server.start()
+        task = asyncio.create_task(
+            server.submit(
+                ExplainRequest(model="m", explainer="slow", instance=np.zeros(2))
+            )
+        )
+        await asyncio.sleep(0.1)  # the window is open and holds the request
+        await server.stop()
+        (outcome,) = await asyncio.wait_for(
+            asyncio.gather(task, return_exceptions=True), timeout=2.0
+        )
+        return outcome, server.stats
+
+    outcome, stats = asyncio.run(run())
+    assert isinstance(outcome, ServiceError)
+    assert "server stopped" in str(outcome)
+    assert stats.n_received == 1
+    assert stats.n_received == (
+        stats.n_completed + stats.n_failed + stats.n_deadline_expired
+    )
+
+
+# ----------------------------------------------------- per-key dispatch locks
+def _config_recording_dispatcher(sleep_s: float):
+    """A backend per config that records how many dispatches of each
+    config (and in total) are inside the backend at once."""
+    dispatcher = Dispatcher()
+    dispatcher.register_model("m", lambda X: np.zeros(len(X)))
+    guard = threading.Lock()
+    inside: dict[int, int] = {}
+    peak = {"per_key": 0, "total": 0}
+
+    def factory(entry, config):
+        key = config["k"]
+
+        def run(instances, seeds):
+            with guard:
+                inside[key] = inside.get(key, 0) + 1
+                peak["per_key"] = max(peak["per_key"], inside[key])
+                peak["total"] = max(peak["total"], sum(inside.values()))
+            time.sleep(sleep_s)
+            with guard:
+                inside[key] -= 1
+            return [float(i) for i in range(len(instances))], None
+
+        return run
+
+    dispatcher.register_explainer("rec", factory)
+    return dispatcher, peak
+
+
+def test_key_locks_are_dropped_once_the_server_is_idle():
+    """Client-chosen config digests must not grow the lock registry:
+    50 distinct configs leave no lock behind once they are served."""
+    dispatcher, __ = _config_recording_dispatcher(sleep_s=0.0)
+
+    async def run():
+        async with ExplanationServer(dispatcher, max_wait_s=0.0) as server:
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        server.submit(
+                            ExplainRequest(
+                                model="m",
+                                explainer="rec",
+                                instance=np.zeros(2),
+                                config={"k": k},
+                            )
+                        )
+                        for k in range(50)
+                    )
+                ),
+                timeout=10.0,
+            )
+            return outcomes, dict(server._key_locks)
+
+    outcomes, locks = asyncio.run(run())
+    assert len(outcomes) == 50
+    assert locks == {}
+
+
+def test_one_in_flight_dispatch_per_batch_key():
+    """Batches under one key never overlap in the backend, while
+    batches under different keys do.  Requests arrive staggered, so new
+    batches keep joining a key while earlier ones still wait on it."""
+    dispatcher, peak = _config_recording_dispatcher(sleep_s=0.05)
+
+    async def run():
+        async with ExplanationServer(
+            dispatcher, max_batch_size=1, max_wait_s=0.0
+        ) as server:
+            tasks = []
+            for i in range(16):
+                request = ExplainRequest(
+                    model="m",
+                    explainer="rec",
+                    instance=np.zeros(2),
+                    config={"k": i % 2},
+                )
+                tasks.append(asyncio.create_task(server.submit(request)))
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(asyncio.gather(*tasks), timeout=10.0)
+
+    asyncio.run(run())
+    assert peak["per_key"] == 1
+    assert peak["total"] == 2
