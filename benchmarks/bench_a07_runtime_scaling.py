@@ -71,8 +71,7 @@ def _repeated_workload_rows():
 
     cold = _LedgerPredict(weights)
     explainer = KernelShapExplainer(
-        cold, background, n_coalitions=N_COALITIONS,
-        config=RuntimeConfig(cache=False),
+        cold, background, n_coalitions=N_COALITIONS
     )
     for seed in seeds:
         explainer.explain(instance, random_state=seed)

@@ -19,7 +19,7 @@ from typing import Hashable, Sequence
 from xaidb.db.relation import Relation
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley.exact import exact_shapley_values
-from xaidb.explainers.shapley.games import CachedGame, Game
+from xaidb.explainers.shapley.games import Game
 from xaidb.explainers.shapley.sampling import permutation_shapley_values
 from xaidb.utils.rng import RandomState
 
@@ -122,7 +122,7 @@ def repair_blame(
     tuples = relation.tuple_ids()
     if not tuples:
         raise ValidationError("relation has no base tuples")
-    game = CachedGame(_InconsistencyGame(tuples, pairs))
+    game = _InconsistencyGame(tuples, pairs)
     if n_permutations is None:
         phi = exact_shapley_values(game)
     else:

@@ -23,7 +23,7 @@ from xaidb.db.provenance import Provenance
 from xaidb.db.relation import Relation
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley.exact import exact_shapley_values
-from xaidb.explainers.shapley.games import CachedGame, Game
+from xaidb.explainers.shapley.games import Game
 from xaidb.explainers.shapley.sampling import permutation_shapley_values
 from xaidb.utils.rng import RandomState
 
@@ -89,9 +89,7 @@ def shapley_of_tuples_boolean(
     """
     if not endogenous:
         raise ValidationError("endogenous tuple list is empty")
-    game = CachedGame(
-        BooleanQueryGame(provenance, endogenous, exogenous=exogenous)
-    )
+    game = BooleanQueryGame(provenance, endogenous, exogenous=exogenous)
     if n_permutations is None:
         phi = exact_shapley_values(game)
     else:
@@ -123,7 +121,7 @@ def shapley_of_tuples(
     def evaluate(present: frozenset) -> float:
         return float(query_fn(relation.restrict_to(present | exogenous)))
 
-    game = CachedGame(_NumericQueryGame(tuples, evaluate))
+    game = _NumericQueryGame(tuples, evaluate)
     if n_permutations is None:
         phi = exact_shapley_values(game)
     else:

@@ -38,11 +38,7 @@ from xaidb.explainers.shapley.global_summary import (
     shap_summary,
     supervised_clustering,
 )
-from xaidb.explainers.shapley.games import (
-    CachedGame,
-    Game,
-    MarginalImputationGame,
-)
+from xaidb.explainers.shapley.games import Game, MarginalImputationGame
 from xaidb.explainers.shapley.kernel import KernelShapExplainer
 from xaidb.explainers.shapley.qii import QIIExplainer
 from xaidb.explainers.shapley.sampling import (
@@ -61,7 +57,6 @@ from xaidb.explainers.shapley.tree_shap_kernels import (
 
 __all__ = [
     "Game",
-    "CachedGame",
     "MarginalImputationGame",
     "exact_shapley_values",
     "ExactShapleyExplainer",

@@ -24,7 +24,9 @@ from xaidb.db.provenance import Provenance
 from xaidb.db.sql_shapley import BooleanQueryGame
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley.coalitions import sample_uniform_masks
-from xaidb.explainers.shapley.games import CachedGame, Game
+from xaidb.explainers.shapley.exact import _MAX_EXACT_PLAYERS
+from xaidb.explainers.shapley.games import Game
+from xaidb.runtime import GameRuntime
 from xaidb.utils.rng import RandomState, check_random_state
 
 __all__ = [
@@ -32,8 +34,6 @@ __all__ = [
     "banzhaf_values_sampled",
     "banzhaf_of_tuples_boolean",
 ]
-
-_MAX_EXACT_PLAYERS = 20
 
 
 def banzhaf_values(game: Game) -> np.ndarray:
@@ -44,7 +44,7 @@ def banzhaf_values(game: Game) -> np.ndarray:
             f"exact Banzhaf over {n} players is intractable "
             f"(limit {_MAX_EXACT_PLAYERS}); use banzhaf_values_sampled"
         )
-    cached = game if isinstance(game, CachedGame) else CachedGame(game)
+    game = GameRuntime.wrap(game)
     players = list(range(n))
     beta = np.zeros(n)
     denominator = 2.0 ** (n - 1)
@@ -53,7 +53,7 @@ def banzhaf_values(game: Game) -> np.ndarray:
         for size in range(n):
             for subset in combinations(others, size):
                 beta[player] += (
-                    cached.value(subset + (player,)) - cached.value(subset)
+                    game.value(subset + (player,)) - game.value(subset)
                 )
     return beta / denominator
 
@@ -69,7 +69,7 @@ def banzhaf_values_sampled(
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     rng = check_random_state(random_state)
-    cached = game if isinstance(game, CachedGame) else CachedGame(game)
+    game = GameRuntime.wrap(game)
     n = game.n_players
     # One block draw replays the historical per-sample coin flips
     # bit-for-bit; the with/without coalitions for every (sample,
@@ -79,20 +79,12 @@ def banzhaf_values_sampled(
     eye = np.eye(n, dtype=bool)
     with_player = (masks[:, None, :] | eye[None, :, :]).reshape(-1, n)
     without_player = (masks[:, None, :] & ~eye[None, :, :]).reshape(-1, n)
-    stacked = np.concatenate([with_player, without_player])
-    # The game is evaluated once per *distinct* coalition — the sampled
-    # masks repeat heavily (mask ∪ {p} == mask whenever p is already
-    # in, and complements collide across samples) — and each value is
-    # produced by the same ``cached.value`` call the scalar loop made,
-    # so every matrix entry is bitwise the historical one.
-    packed = np.packbits(stacked, axis=1)
-    __, first, inverse = np.unique(
-        packed, axis=0, return_index=True, return_inverse=True
+    # The runtime's batch dedupe evaluates the game once per *distinct*
+    # coalition — the sampled masks repeat heavily (mask ∪ {p} == mask
+    # whenever p is already in, and complements collide across samples).
+    scores = game.values_batch(
+        np.concatenate([with_player, without_player])
     )
-    unique_values = np.asarray(
-        [cached.value(np.flatnonzero(stacked[row])) for row in first]
-    )
-    scores = unique_values[np.asarray(inverse).ravel()]
     split = n_samples * n
     samples = (scores[:split] - scores[split:]).reshape(n_samples, n)
     values = samples.mean(axis=0)
@@ -116,9 +108,7 @@ def banzhaf_of_tuples_boolean(
     :func:`xaidb.db.sql_shapley.shapley_of_tuples_boolean`."""
     if not endogenous:
         raise ValidationError("endogenous tuple list is empty")
-    game = CachedGame(
-        BooleanQueryGame(provenance, endogenous, exogenous=exogenous)
-    )
+    game = BooleanQueryGame(provenance, endogenous, exogenous=exogenous)
     if n_samples is None:
         beta = banzhaf_values(game)
     else:

@@ -14,21 +14,25 @@ import numpy as np
 
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
-from xaidb.explainers.shapley.games import CachedGame, Game, MarginalImputationGame
+from xaidb.explainers.shapley.games import Game, MarginalImputationGame
 from xaidb.runtime import GameRuntime, RuntimeConfig
 from xaidb.utils.combinatorics import shapley_subset_weight
 from xaidb.utils.validation import check_array
 
 __all__ = ["exact_shapley_values", "ExactShapleyExplainer"]
 
+#: Largest game any exact enumeration here accepts (Shapley and Banzhaf);
+#: the runtime's memo bound ``MAX_CACHE_ENTRIES`` holds all ``2**20``
+#: of its coalitions.
 _MAX_EXACT_PLAYERS = 20
 
 
 def exact_shapley_values(game: Game) -> np.ndarray:
     """Shapley value of every player by full subset enumeration.
 
-    Complexity ``O(2^n)`` value evaluations (cached), ``n * 2^(n-1)``
-    marginal contributions.  Refuses games with more than
+    Complexity ``O(2^n)`` value evaluations (memoised in a
+    :class:`~xaidb.runtime.GameRuntime` unless ``game`` already is one),
+    ``n * 2^(n-1)`` marginal contributions.  Refuses games with more than
     ``20`` players — at that point use sampling or KernelSHAP.
     """
     n = game.n_players
@@ -37,7 +41,7 @@ def exact_shapley_values(game: Game) -> np.ndarray:
             f"exact enumeration over {n} players is intractable "
             f"(limit {_MAX_EXACT_PLAYERS}); use a sampling estimator"
         )
-    cached = game if game.provides_cache else CachedGame(game)
+    game = GameRuntime.wrap(game)
     players = list(range(n))
     phi = np.zeros(n)
     for player in players:
@@ -45,7 +49,7 @@ def exact_shapley_values(game: Game) -> np.ndarray:
         for size in range(n):
             weight = shapley_subset_weight(size, n)
             for subset in combinations(others, size):
-                gain = cached.value(subset + (player,)) - cached.value(subset)
+                gain = game.value(subset + (player,)) - game.value(subset)
                 phi[player] += weight * gain
     return phi
 

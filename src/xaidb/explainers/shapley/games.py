@@ -19,7 +19,7 @@ from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import PredictFn
 from xaidb.utils.validation import check_array
 
-__all__ = ["Game", "FunctionGame", "CachedGame", "MarginalImputationGame"]
+__all__ = ["Game", "FunctionGame", "MarginalImputationGame"]
 
 
 class Game:
@@ -27,13 +27,9 @@ class Game:
 
     Subclasses implement :meth:`value`; ``n_players`` is the ground set
     size.  Coalitions are passed as iterables of integer player indices.
+    Estimators memoise values by wrapping a game in
+    :class:`xaidb.runtime.GameRuntime`.
     """
-
-    #: True on wrappers that already memoise values (``CachedGame``,
-    #: :class:`xaidb.runtime.GameRuntime`); estimators must not re-wrap
-    #: such games in another memo layer (it would starve the inner
-    #: cache's hit accounting).
-    provides_cache = False
 
     def __init__(self, n_players: int) -> None:
         if n_players < 1:
@@ -61,29 +57,6 @@ class FunctionGame(Game):
 
     def value(self, coalition: Iterable[int]) -> float:
         return float(self._func(frozenset(coalition)))
-
-
-class CachedGame(Game):
-    """Memoising wrapper: exact enumeration and KernelSHAP both revisit
-    coalitions, and Monte-Carlo games are expensive to evaluate."""
-
-    provides_cache = True
-
-    def __init__(self, inner: Game) -> None:
-        super().__init__(inner.n_players)
-        self.inner = inner
-        self._cache: dict[frozenset, float] = {}
-
-    def value(self, coalition: Iterable[int]) -> float:
-        key = frozenset(coalition)
-        if key not in self._cache:
-            self._cache[key] = float(self.inner.value(key))
-        return self._cache[key]
-
-    @property
-    def n_evaluations(self) -> int:
-        """Distinct coalitions evaluated so far."""
-        return len(self._cache)
 
 
 class MarginalImputationGame(Game):

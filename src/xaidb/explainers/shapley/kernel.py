@@ -22,8 +22,6 @@ batch of one.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from xaidb.exceptions import ValidationError
@@ -54,11 +52,11 @@ class KernelShapExplainer(Explainer):
         Tiny ridge stabiliser for the (possibly rank-deficient) sampled
         regression; does not affect the enforced constraints.
     config:
-        Shared-runtime knobs, defaulting to
-        :class:`~xaidb.runtime.RuntimeConfig`'s defaults.
-        ``max_batch_rows`` chunks every explanation's model calls; the
-        memo cache (``cache``/``max_cache_entries``) applies only to
-        runtimes built by :meth:`make_runtime`.
+        Shared-runtime settings, defaulting to
+        :class:`~xaidb.runtime.RuntimeConfig`'s defaults:
+        ``max_batch_rows`` chunks every explanation's model calls.  The
+        coalition memo applies only to runtimes built by
+        :meth:`make_runtime`.
     """
 
     def __init__(
@@ -102,18 +100,20 @@ class KernelShapExplainer(Explainer):
         design is duplicate-free, so only repeated calls can hit.
         """
         instance = check_array(instance, name="instance", ndim=1)
-        return self._runtime(instance, self.config, stats)
+        return self._runtime(instance, stats, cache=True)
 
     def _runtime(
         self,
         instance: np.ndarray,
-        config: RuntimeConfig,
         stats: EvalStats | None,
+        *,
+        cache: bool,
     ) -> GameRuntime:
         return GameRuntime(
             MarginalImputationGame(self.predict_fn, instance, self.background),
-            config=config,
+            config=self.config,
             stats=stats,
+            cache=cache,
         )
 
     def explain(
@@ -134,9 +134,7 @@ class KernelShapExplainer(Explainer):
         if runtime is None:
             # one explanation's design is duplicate-free, so hashing its
             # masks into a memo cache could never hit
-            runtime = self._runtime(
-                instance, replace(self.config, cache=False), None
-            )
+            runtime = self._runtime(instance, None, cache=False)
         elif runtime.n_players != d:
             raise ValidationError(
                 f"runtime is for {runtime.n_players} players, instance "
@@ -183,10 +181,10 @@ class KernelShapExplainer(Explainer):
             )
         stats = EvalStats()
         self.batch_stats_ = stats
-        config = replace(self.config, cache=False)  # as in ``explain``
         with stats.timer():
             attributions = self._explain_runtimes(
-                [self._runtime(row, config, stats) for row in instances],
+                # uncached, as in ``explain``
+                [self._runtime(row, stats, cache=False) for row in instances],
                 seeds,
             )
         for attribution in attributions:

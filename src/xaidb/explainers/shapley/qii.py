@@ -25,8 +25,9 @@ import numpy as np
 
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
-from xaidb.explainers.shapley.games import CachedGame, Game, MarginalImputationGame
+from xaidb.explainers.shapley.games import Game, MarginalImputationGame
 from xaidb.explainers.shapley.sampling import permutation_shapley_values
+from xaidb.runtime import GameRuntime
 from xaidb.utils.rng import RandomState
 from xaidb.utils.validation import check_array
 
@@ -133,8 +134,7 @@ class QIIExplainer(Explainer):
         pushes the output up at this instance).
         """
         instance = check_array(instance, name="instance", ndim=1)
-        inner = self._game(instance)
-        game = CachedGame(_RandomisationGame(inner))
+        game = GameRuntime.wrap(_RandomisationGame(self._game(instance)))
         phi, errors = permutation_shapley_values(
             game, n_permutations, random_state=random_state
         )
@@ -144,8 +144,11 @@ class QIIExplainer(Explainer):
         return FeatureAttribution(
             feature_names=list(names),
             values=-phi,
-            base_value=inner.value(()),
-            prediction=inner.value(range(inner.n_players)),
+            # memo hits: every walk starts at v(∅) and ends at v(N); with
+            # all features randomised v(N) is the base, with none v(∅) is
+            # the prediction
+            base_value=game.grand_value(),
+            prediction=game.empty_value(),
             metadata={
                 "method": "shapley_qii",
                 "standard_errors": errors.tolist(),

@@ -17,7 +17,7 @@ import numpy as np
 
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
-from xaidb.explainers.shapley.games import CachedGame, Game, MarginalImputationGame
+from xaidb.explainers.shapley.games import Game, MarginalImputationGame
 from xaidb.runtime import GameRuntime, RuntimeConfig
 from xaidb.utils.rng import RandomState, check_random_state, spawn_seeds
 from xaidb.utils.validation import check_array
@@ -48,6 +48,9 @@ def permutation_shapley_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo Shapley values.
 
+    All draws share one coalition memo: ``game`` itself when it is a
+    :class:`~xaidb.runtime.GameRuntime`, else a fresh runtime over it.
+
     Returns
     -------
     (phi, standard_errors):
@@ -56,16 +59,16 @@ def permutation_shapley_values(
     """
     if n_permutations < 1:
         raise ValidationError("n_permutations must be >= 1")
-    cached = game if game.provides_cache else CachedGame(game)
+    game = GameRuntime.wrap(game)
     n = game.n_players
     n_draws = (n_permutations + 1) // 2 if antithetic else n_permutations
     seeds = spawn_seeds(random_state, n_draws)
     contributions: list[np.ndarray] = []
     for seed in seeds:
         order = check_random_state(seed).permutation(n)
-        contributions.append(_walk(cached, order))
+        contributions.append(_walk(game, order))
         if antithetic:
-            contributions.append(_walk(cached, order[::-1]))
+            contributions.append(_walk(game, order[::-1]))
     samples = np.asarray(contributions[:n_permutations])
     phi = samples.mean(axis=0)
     if len(samples) > 1:

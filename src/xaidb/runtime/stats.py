@@ -48,9 +48,9 @@ class EvalStats:
         timed sections never double-counts wall time (which would
         inflate the denominator of :attr:`rows_per_s`).
     cache_evictions:
-        Entries dropped from a bounded :class:`~xaidb.runtime.cache.
-        CoalitionCache` to stay within ``max_entries`` — nonzero means
-        the working set no longer fits and hit rates are paying for it.
+        Entries dropped from a :class:`~xaidb.runtime.GameRuntime` memo
+        to stay within ``MAX_CACHE_ENTRIES`` — nonzero means the working
+        set no longer fits and hit rates are paying for it.
     n_pool_reuses:
         Pooled ``parallel_map`` calls served by already-warm workers of
         the persistent :class:`~xaidb.runtime.parallel.WorkerPool`
@@ -71,7 +71,6 @@ class EvalStats:
     wall_time_s: float = 0.0
     n_pool_reuses: int = 0
     n_serial_fallbacks: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
     #: Live :meth:`timer` nesting depth — bookkeeping, not a counter
     #: (never copied, compared or merged).
     _timer_depth: int = field(
@@ -136,7 +135,7 @@ class EvalStats:
 
     # ------------------------------------------------------------------
     def copy(self) -> "EvalStats":
-        """Counter snapshot (``extra`` is shallow-copied)."""
+        """Counter snapshot."""
         return EvalStats(
             n_model_evals=self.n_model_evals,
             n_coalition_evals=self.n_coalition_evals,
@@ -146,31 +145,11 @@ class EvalStats:
             wall_time_s=self.wall_time_s,
             n_pool_reuses=self.n_pool_reuses,
             n_serial_fallbacks=self.n_serial_fallbacks,
-            extra=dict(self.extra),
         )
 
     def since(self, earlier: "EvalStats") -> "EvalStats":
         """Counters accumulated after the ``earlier`` snapshot — how a
-        shared runtime attributes work to one explanation call.
-
-        ``extra`` travels with the delta, like :meth:`copy`: numeric
-        values that exist in both snapshots are differenced; everything
-        else (labels, configs, keys added after the snapshot) keeps the
-        current value.  Dropping the dict here silently stripped
-        per-explanation metadata attribution.
-        """
-        extra: dict[str, Any] = {}
-        for key, value in self.extra.items():
-            prior = earlier.extra.get(key)
-            if (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and isinstance(prior, (int, float))
-                and not isinstance(prior, bool)
-            ):
-                extra[key] = value - prior
-            else:
-                extra[key] = value
+        shared runtime attributes work to one explanation call."""
         return EvalStats(
             n_model_evals=self.n_model_evals - earlier.n_model_evals,
             n_coalition_evals=(
@@ -184,16 +163,10 @@ class EvalStats:
             n_serial_fallbacks=(
                 self.n_serial_fallbacks - earlier.n_serial_fallbacks
             ),
-            extra=extra,
         )
 
     def merge(self, other: "EvalStats") -> "EvalStats":
-        """Fold another ledger into this one (e.g. per-worker stats).
-
-        ``extra`` folds too: numeric values shared by both ledgers add,
-        anything else takes ``other``'s value — the same convention
-        :meth:`since` inverts.
-        """
+        """Fold another ledger into this one (e.g. per-worker stats)."""
         self.n_model_evals += other.n_model_evals
         self.n_coalition_evals += other.n_coalition_evals
         self.cache_hits += other.cache_hits
@@ -202,17 +175,6 @@ class EvalStats:
         self.wall_time_s += other.wall_time_s
         self.n_pool_reuses += other.n_pool_reuses
         self.n_serial_fallbacks += other.n_serial_fallbacks
-        for key, value in other.extra.items():
-            mine = self.extra.get(key)
-            if (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and isinstance(mine, (int, float))
-                and not isinstance(mine, bool)
-            ):
-                self.extra[key] = mine + value
-            else:
-                self.extra[key] = value
         return self
 
     def as_metadata(self) -> dict[str, Any]:

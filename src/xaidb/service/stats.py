@@ -23,7 +23,7 @@ __all__ = ["ServiceStats"]
 #: Completed-request latencies kept for percentile estimation; beyond
 #: this the buffer wraps (most-recent window) so a long-running server's
 #: stats object cannot grow without bound — the same discipline the
-#: bounded :class:`~xaidb.runtime.cache.CoalitionCache` follows.
+#: bounded coalition memo of :class:`~xaidb.runtime.GameRuntime` follows.
 DEFAULT_MAX_LATENCY_SAMPLES = 65536
 
 

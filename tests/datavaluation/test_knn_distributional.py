@@ -33,7 +33,7 @@ class TestKnnShapley:
         yv = (Xv[:, 0] > 0).astype(float)
         exact = knn_shapley_values(X, y, Xv, yv, k=3)
 
-        from xaidb.explainers.shapley.games import CachedGame, FunctionGame
+        from xaidb.explainers.shapley.games import FunctionGame
         from xaidb.explainers.shapley import exact_shapley_values
 
         def utility(subset):
@@ -42,8 +42,7 @@ class TestKnnShapley:
             rows = sorted(subset)
             return knn_utility(X[rows], y[rows], Xv, yv, k=3)
 
-        game = CachedGame(FunctionGame(12, utility))
-        phi = exact_shapley_values(game)
+        phi = exact_shapley_values(FunctionGame(12, utility))
         assert np.allclose(exact, phi, atol=1e-10)
 
     def test_helpful_neighbour_valued_higher(self):

@@ -4,12 +4,12 @@ import pytest
 from xaidb.exceptions import ValidationError
 from xaidb.explainers import predict_positive_proba
 from xaidb.explainers.shapley import (
-    CachedGame,
     ExactShapleyExplainer,
     MarginalImputationGame,
     exact_shapley_values,
 )
 from xaidb.explainers.shapley.games import FunctionGame
+from xaidb.runtime import GameRuntime
 
 
 def glove_game():
@@ -58,7 +58,7 @@ class TestExactShapleyOnAnalyticGames:
             exact_shapley_values(game)
 
 
-class TestCachedGame:
+class TestGameRuntimeMemo:
     def test_caches_identical_coalitions(self):
         calls = {"n": 0}
 
@@ -66,12 +66,15 @@ class TestCachedGame:
             calls["n"] += 1
             return float(len(s))
 
-        game = CachedGame(FunctionGame(3, v))
+        game = GameRuntime(FunctionGame(3, v))
         game.value([0, 1])
         game.value([1, 0])
         game.value((0, 1))
+        game.value(np.array([1, 0]))
         assert calls["n"] == 1
-        assert game.n_evaluations == 1
+        assert game.n_cached == 1
+        assert game.stats.n_coalition_evals == 1
+        assert game.stats.cache_hits == 3
 
 
 class TestMarginalImputationGame:

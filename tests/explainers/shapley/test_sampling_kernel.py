@@ -10,7 +10,8 @@ from xaidb.explainers.shapley import (
     permutation_shapley_values,
 )
 from xaidb.explainers.shapley.coalitions import _sampled_design
-from xaidb.explainers.shapley.games import CachedGame, FunctionGame
+from xaidb.explainers.shapley.games import FunctionGame
+from xaidb.runtime import GameRuntime
 from xaidb.utils.rng import check_random_state
 
 from .kernel_oracle import constrained_wls
@@ -24,14 +25,14 @@ def glove_game():
 
 class TestPermutationSampling:
     def test_converges_to_exact(self):
-        game = CachedGame(glove_game())
+        game = GameRuntime(glove_game())
         phi, __ = permutation_shapley_values(game, 4000, random_state=0)
         assert np.allclose(phi, [2 / 3, 1 / 6, 1 / 6], atol=0.02)
 
     def test_efficiency_holds_per_sample(self):
         """Every permutation's marginals telescope, so efficiency is exact
         regardless of the number of samples."""
-        game = CachedGame(glove_game())
+        game = GameRuntime(glove_game())
         phi, __ = permutation_shapley_values(game, 3, random_state=1)
         assert phi.sum() == pytest.approx(
             game.grand_value() - game.empty_value()
@@ -43,7 +44,7 @@ class TestPermutationSampling:
         def spread(antithetic):
             estimates = [
                 permutation_shapley_values(
-                    CachedGame(game),
+                    GameRuntime(game),
                     20,
                     antithetic=antithetic,
                     random_state=seed,
@@ -55,7 +56,7 @@ class TestPermutationSampling:
         assert spread(True) <= spread(False) + 1e-9
 
     def test_standard_errors_shrink(self):
-        game = CachedGame(glove_game())
+        game = GameRuntime(glove_game())
         __, few = permutation_shapley_values(game, 20, random_state=2)
         __, many = permutation_shapley_values(game, 2000, random_state=2)
         assert many.mean() < few.mean()

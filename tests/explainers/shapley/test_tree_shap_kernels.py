@@ -38,7 +38,7 @@ from xaidb.explainers.shapley.coalitions import (
     kernel_shap_design,
 )
 from xaidb.exceptions import ValidationError
-from xaidb.explainers.shapley.games import CachedGame, Game, MarginalImputationGame
+from xaidb.explainers.shapley.games import Game, MarginalImputationGame
 from xaidb.explainers.shapley.tree import path_dependent_tree_shap, tree_expected_value
 from xaidb.models import (
     DecisionTreeClassifier,
@@ -50,7 +50,7 @@ from xaidb.models import (
 )
 from xaidb.models.tree import TreeStructure, _LEAF
 from xaidb.models.tree_kernels import EnsembleKernel
-from xaidb.runtime import GameRuntime, RuntimeConfig
+from xaidb.runtime import GameRuntime
 from xaidb.utils.combinatorics import shapley_subset_weight
 from xaidb.utils.rng import check_random_state, spawn_seeds
 
@@ -465,7 +465,7 @@ class TestMaskArenaAcrossWorkers:
         masks, __ = kernel_shap_design(8, 254)  # read-only arena design
         runtime = GameRuntime(
             MarginalImputationGame(_linear_predict, x, background),
-            config=RuntimeConfig(cache=False),
+            cache=False,
         )
         reference = MarginalImputationGame(
             _linear_predict, x, background
@@ -488,7 +488,7 @@ class TestMaskArenaAcrossWorkers:
             return evaluate(batch, max_batch_rows=max_batch_rows)
 
         game.values_batch = spy
-        runtime = GameRuntime(game, config=RuntimeConfig(cache=True))
+        runtime = GameRuntime(game)
         values = runtime.values_batch(masks)
         assert len(seen) == 1 and seen[0] is masks
         reference = MarginalImputationGame(
@@ -522,16 +522,23 @@ class _QuadraticGame(Game):
 def _scalar_banzhaf_sampled(game, n_samples, random_state):
     """The historical per-sample scalar loop, kept as the oracle."""
     rng = check_random_state(random_state)
-    cached = CachedGame(game)
+    memo: dict[frozenset, float] = {}
+
+    def value(coalition):
+        key = frozenset(coalition)
+        if key not in memo:
+            memo[key] = float(game.value(key))
+        return memo[key]
+
     n = game.n_players
     samples = np.zeros((n_samples, n))
     for s in range(n_samples):
         mask = rng.random(n) < 0.5
         for player in range(n):
             coalition = [p for p in range(n) if mask[p] and p != player]
-            samples[s, player] = cached.value(
-                coalition + [player]
-            ) - cached.value(coalition)
+            samples[s, player] = value(coalition + [player]) - value(
+                coalition
+            )
     values = samples.mean(axis=0)
     errors = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return values, errors

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xaidb.explainers.shapley import exact_shapley_values
-from xaidb.explainers.shapley.games import CachedGame, FunctionGame
+from xaidb.explainers.shapley.games import FunctionGame
+from xaidb.runtime import GameRuntime
 from xaidb.utils.combinatorics import all_subsets
 
 
@@ -85,7 +86,7 @@ def test_symmetry_axiom(n, seed):
 def test_permutation_sampling_unbiased_in_the_limit(n, seed):
     from xaidb.explainers.shapley import permutation_shapley_values
 
-    game = CachedGame(random_game(n, seed))
+    game = GameRuntime(random_game(n, seed))
     exact = exact_shapley_values(game)
     estimate, __ = permutation_shapley_values(game, 3000, random_state=seed)
     assert np.allclose(estimate, exact, atol=0.15)

@@ -34,8 +34,8 @@ def _mask_batch(n: int, duplicates: bool = True) -> np.ndarray:
 
 def test_cache_on_equals_cache_off_bitwise():
     masks = _mask_batch(24)
-    cached = GameRuntime(_game(), config=RuntimeConfig(cache=True))
-    uncached = GameRuntime(_game(), config=RuntimeConfig(cache=False))
+    cached = GameRuntime(_game())
+    uncached = GameRuntime(_game(), cache=False)
     assert np.array_equal(
         cached.values_batch(masks), uncached.values_batch(masks)
     )
@@ -47,10 +47,10 @@ def test_cache_on_equals_cache_off_bitwise():
 def test_chunked_equals_unchunked_bitwise():
     masks = _mask_batch(24, duplicates=False)
     one_shot = GameRuntime(
-        _game(), config=RuntimeConfig(cache=False, max_batch_rows=None)
+        _game(), config=RuntimeConfig(max_batch_rows=None), cache=False
     )
     chunked = GameRuntime(
-        _game(), config=RuntimeConfig(cache=False, max_batch_rows=13)
+        _game(), config=RuntimeConfig(max_batch_rows=13), cache=False
     )
     assert np.array_equal(
         one_shot.values_batch(masks), chunked.values_batch(masks)

@@ -1,4 +1,4 @@
-"""Unit tests for the runtime's ledger (EvalStats) and memo cache."""
+"""Unit tests for the runtime's ledger (EvalStats) and coalition memo."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xaidb.exceptions import ValidationError
-from xaidb.runtime import CoalitionCache, EvalStats
+from xaidb.runtime import EvalStats, GameRuntime
 
 
 # ---------------------------------------------------------------- stats
@@ -66,43 +66,58 @@ def test_merge_folds_counters():
     assert total.cache_misses == 3
 
 
-# ---------------------------------------------------------------- cache
+# ----------------------------------------------------------------- memo
+class _CountingGame:
+    """``v(S) = sum of 2**i over S``, recording every coalition it sees."""
+
+    def __init__(self, n_players):
+        self.n_players = n_players
+        self.seen = []
+
+    def value(self, coalition):
+        self.seen.append(tuple(coalition))
+        return float(sum(2.0**i for i in coalition))
+
+
 def test_cache_scalar_roundtrip():
-    cache = CoalitionCache(4)
-    mask = np.array([True, False, True, False])
-    assert cache.get(mask) is None
-    cache.put(mask, 2.5)
-    assert cache.get(mask) == 2.5
-    # dtype- and layout-insensitive keying
-    assert cache.get(np.array([1, 0, 1, 0], dtype=np.int64)) == 2.5
-    assert len(cache) == 1
-    cache.clear()
-    assert cache.get(mask) is None
+    game = _CountingGame(4)
+    runtime = GameRuntime(game)
+    assert runtime.value([2, 0]) == 5.0
+    # order-, container- and dtype-insensitive keying
+    assert runtime.value((0, 2)) == 5.0
+    assert runtime.value(np.array([0, 2], dtype=np.int64)) == 5.0
+    # the batch path shares the scalar path's keys
+    batch = runtime.values_batch(np.array([[1, 0, 1, 0]], dtype=bool))
+    assert batch.tolist() == [5.0]
+    assert game.seen == [(0, 2)]  # one evaluation, on sorted players
+    assert runtime.n_cached == 1
+    assert runtime.stats.cache_hits == 3
+    assert runtime.stats.cache_misses == 1
 
 
 def test_cache_batch_lookup_reports_missing_rows():
-    cache = CoalitionCache(3)
-    known = np.array([True, False, False])
-    cache.put(known, 1.0)
+    game = _CountingGame(3)
+    runtime = GameRuntime(game)
+    runtime.value([0])
     masks = np.array(
         [[True, False, False], [False, True, False], [True, True, True]]
     )
-    values, missing = cache.lookup_batch(masks)
-    assert values[0] == 1.0
-    assert np.isnan(values[1]) and np.isnan(values[2])
-    assert missing.tolist() == [1, 2]
-
-    cache.store_batch(masks[missing], np.array([4.0, 9.0]))
-    values, missing = cache.lookup_batch(masks)
-    assert missing.size == 0
-    assert values.tolist() == [1.0, 4.0, 9.0]
+    values = runtime.values_batch(masks)
+    assert values.tolist() == [1.0, 2.0, 7.0]
+    # only the two unknown rows reached the game
+    assert game.seen == [(0,), (1,), (0, 1, 2)]
+    assert runtime.values_batch(masks).tolist() == [1.0, 2.0, 7.0]
+    assert len(game.seen) == 3
+    assert runtime.stats.n_coalition_evals == 3
 
 
 def test_cache_validates_shapes():
-    cache = CoalitionCache(3)
+    runtime = GameRuntime(_CountingGame(3))
     with pytest.raises(ValidationError):
-        cache.lookup_batch(np.zeros((2, 4), dtype=bool))
+        runtime.values_batch(np.zeros((2, 4), dtype=bool))
     with pytest.raises(ValidationError):
-        cache.store_batch(np.zeros((2, 3), dtype=bool), np.zeros(3))
+        runtime.value([3])
     with pytest.raises(ValidationError):
-        CoalitionCache(0)
+        runtime.value([-1])
+    with pytest.raises(ValidationError):
+        GameRuntime(_CountingGame(0))

@@ -3,14 +3,13 @@
 Each test pins one fix that the serving layer leans on and that was red
 before it landed:
 
-1. :class:`CoalitionCache` is bounded (``max_entries`` + FIFO eviction,
-   surfaced as ``EvalStats.cache_evictions``) — an unbounded cache leaks
-   in a long-running server;
-2. ``EvalStats.since()`` propagates ``extra`` (it used to drop the dict,
-   silently stripping per-explanation metadata);
-3. nested ``EvalStats.timer()`` blocks count the outermost span only
+1. the :class:`GameRuntime` coalition memo is bounded (FIFO eviction at
+   ``MAX_CACHE_ENTRIES``, surfaced as ``EvalStats.cache_evictions``) —
+   an unbounded memo leaks in a long-running server — and the bound
+   holds the largest exact enumeration, which would otherwise thrash;
+2. nested ``EvalStats.timer()`` blocks count the outermost span only
    (nesting used to double-count wall time, deflating ``rows_per_s``);
-4. ``EvalStats.wrap_predict_fn`` is idempotent (re-instrumenting a
+3. ``EvalStats.wrap_predict_fn`` is idempotent (re-instrumenting a
    long-lived game used to stack counting wrappers and multiply
    ``n_model_evals``).
 """
@@ -20,57 +19,84 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from xaidb.exceptions import ValidationError
-from xaidb.explainers.shapley.games import MarginalImputationGame
-from xaidb.runtime import EvalStats, GameRuntime, RuntimeConfig
-from xaidb.runtime.cache import CoalitionCache
+import xaidb.runtime.evaluator as evaluator
+from xaidb.explainers.shapley import exact_shapley_values
+from xaidb.explainers.shapley.exact import _MAX_EXACT_PLAYERS
+from xaidb.explainers.shapley.games import FunctionGame, MarginalImputationGame
+from xaidb.runtime import EvalStats, GameRuntime
 
 
 def _mask(bits: str) -> np.ndarray:
     return np.array([b == "1" for b in bits], dtype=bool)
 
 
-# ---------------------------------------------------- 1. bounded cache
-def test_cache_evicts_fifo_at_max_entries():
-    cache = CoalitionCache(4, max_entries=3)
-    masks = ["1000", "0100", "0010", "0001", "1100"]
-    for i, bits in enumerate(masks):
-        cache.put(_mask(bits), float(i))
-    assert len(cache) == 3
-    assert cache.n_evictions == 2
-    # FIFO: the two oldest inserts are gone, the newest three remain
-    assert cache.get(_mask("1000")) is None
-    assert cache.get(_mask("0100")) is None
-    assert cache.get(_mask("0001")) == 3.0
-    assert cache.get(_mask("1100")) == 4.0
+def _players(bits: str) -> list[int]:
+    return [i for i, b in enumerate(bits) if b == "1"]
 
 
-def test_cache_store_batch_respects_bound():
-    cache = CoalitionCache(3, max_entries=2)
+def _counting_game(n_players: int, calls: list) -> FunctionGame:
+    def v(coalition):
+        calls.append(coalition)
+        return float(sum(2.0**i for i in coalition))
+
+    return FunctionGame(n_players, v)
+
+
+# ---------------------------------------------------- 1. bounded memo
+def test_cache_evicts_fifo_at_max_entries(monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 3)
+    calls: list = []
+    runtime = GameRuntime(_counting_game(4, calls))
+    for bits in ["1000", "0100", "0010", "0001", "1100"]:
+        runtime.value(_players(bits))
+    assert runtime.n_cached == 3
+    assert runtime.stats.cache_evictions == 2
+    # FIFO: the newest three are still held...
+    assert runtime.value(_players("0001")) == 8.0
+    assert runtime.value(_players("1100")) == 3.0
+    assert len(calls) == 5
+    # ...and the two oldest inserts are gone: asking again re-evaluates
+    assert runtime.value(_players("1000")) == 1.0
+    assert len(calls) == 6
+    assert runtime.stats.cache_evictions == 3
+
+
+def test_cache_store_batch_respects_bound(monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 2)
+    calls: list = []
+    runtime = GameRuntime(_counting_game(3, calls))
     masks = np.array(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=bool
     )
-    cache.store_batch(masks, np.arange(4.0))
-    assert len(cache) == 2
-    assert cache.n_evictions == 2
-    # eviction never changes values: survivors read back exactly
-    values, missing = cache.lookup_batch(masks)
-    assert list(missing) == [0, 1]
-    assert values[2] == 2.0 and values[3] == 3.0
+    first = runtime.values_batch(masks)
+    assert runtime.n_cached == 2
+    assert runtime.stats.cache_evictions == 2
+    # eviction never changes values: the survivors read back exactly and
+    # only the two evicted rows reach the game again
+    again = runtime.values_batch(masks)
+    assert np.array_equal(first, again)
+    assert len(calls) == 6
+    assert runtime.stats.cache_hits == 2
 
 
-def test_cache_rejects_bad_bound_and_none_is_unbounded():
-    with pytest.raises(ValidationError):
-        CoalitionCache(4, max_entries=0)
-    cache = CoalitionCache(2, max_entries=None)
-    cache.put(_mask("10"), 1.0)
-    cache.put(_mask("01"), 2.0)
-    cache.put(_mask("11"), 3.0)
-    assert len(cache) == 3
-    assert cache.n_evictions == 0
+def test_memo_bound_covers_largest_exact_enumeration():
+    assert evaluator.MAX_CACHE_ENTRIES >= 2**_MAX_EXACT_PLAYERS
 
 
-def test_runtime_surfaces_evictions_in_stats():
+def test_exact_enumeration_at_the_bound_evaluates_each_coalition_once(
+    monkeypatch,
+):
+    n = 10
+    monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 2**n)
+    calls: list = []
+    runtime = GameRuntime(_counting_game(n, calls))
+    exact_shapley_values(runtime)
+    assert runtime.stats.n_coalition_evals == 2**n == len(calls)
+    assert runtime.stats.cache_evictions == 0
+
+
+def test_runtime_surfaces_evictions_in_stats(monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 4)
     rng = np.random.default_rng(0)
     game = MarginalImputationGame(
         lambda X: X.sum(axis=1),
@@ -78,11 +104,7 @@ def test_runtime_surfaces_evictions_in_stats():
         background=rng.normal(size=(3, 4)),
     )
     stats = EvalStats()
-    runtime = GameRuntime(
-        game,
-        config=RuntimeConfig(max_cache_entries=4),
-        stats=stats,
-    )
+    runtime = GameRuntime(game, stats=stats)
     # all 16 masks over 4 players: 12 must be evicted to hold the bound
     bits = np.arange(16)[:, None] >> np.arange(4)[None, :]
     all_masks = (bits & 1).astype(bool)
@@ -91,6 +113,7 @@ def test_runtime_surfaces_evictions_in_stats():
     assert stats.cache_evictions == 12
     assert "cache_evictions" in stats.as_metadata()
     # eviction is a cost knob, not a correctness knob
+    monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 16)
     unbounded = GameRuntime(
         MarginalImputationGame(
             lambda X: X.sum(axis=1),
@@ -103,9 +126,10 @@ def test_runtime_surfaces_evictions_in_stats():
     )
 
 
-def test_shared_stats_accumulate_evictions_as_deltas():
-    """Two runtimes writing to one ledger must not re-add each other's
-    eviction counts (the sync is delta-based, not absolute)."""
+def test_shared_stats_accumulate_evictions_as_deltas(monkeypatch):
+    """Two runtimes writing to one ledger each add only their own
+    evictions (counted straight into the ledger as they happen)."""
+    monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 2)
     stats = EvalStats()
     runtimes = [
         GameRuntime(
@@ -114,7 +138,6 @@ def test_shared_stats_accumulate_evictions_as_deltas():
                 instance=np.arange(3.0),
                 background=np.eye(3),
             ),
-            config=RuntimeConfig(max_cache_entries=2),
             stats=stats,
         )
         for _ in range(2)
@@ -126,37 +149,7 @@ def test_shared_stats_accumulate_evictions_as_deltas():
     assert stats.cache_evictions == 12
 
 
-# -------------------------------------------- 2. since() keeps `extra`
-def test_since_propagates_extra_with_numeric_deltas():
-    stats = EvalStats(n_model_evals=100)
-    stats.extra.update(n_candidates=10, phase="sample", exact=True)
-    snapshot = stats.copy()
-    stats.count_rows(50)
-    stats.extra["n_candidates"] = 25
-    stats.extra["coverage"] = 0.8
-    delta = stats.since(snapshot)
-    assert delta.n_model_evals == 50
-    # numeric keys present in both snapshots are differenced...
-    assert delta.extra["n_candidates"] == 15
-    # ...new keys and non-numeric values (incl. bools) keep the current
-    # value instead of being dropped
-    assert delta.extra["coverage"] == 0.8
-    assert delta.extra["phase"] == "sample"
-    assert delta.extra["exact"] is True
-
-
-def test_copy_since_merge_round_trip_on_extra():
-    a = EvalStats(extra={"n_candidates": 10, "phase": "sample"})
-    b = EvalStats(extra={"n_candidates": 5, "phase": "refine"})
-    merged = a.copy().merge(b)
-    assert merged.extra == {"n_candidates": 15, "phase": "refine"}
-    # merge then since(b-shaped snapshot) recovers a's numeric share
-    assert merged.since(b).extra["n_candidates"] == 10
-    # and the originals were not mutated by copy()
-    assert a.extra["n_candidates"] == 10
-
-
-# --------------------------------------- 3. re-entrant timer, outermost
+# --------------------------------------- 2. re-entrant timer, outermost
 def test_nested_timer_counts_outermost_span_only(monkeypatch):
     import xaidb.runtime.stats as stats_module
 
@@ -188,7 +181,7 @@ def test_timer_depth_recovers_after_exception():
     assert stats.wall_time_s > 0.0
 
 
-# ------------------------------------- 4. idempotent instrumentation
+# ------------------------------------- 3. idempotent instrumentation
 def test_wrap_predict_fn_is_idempotent():
     stats = EvalStats()
     base = lambda X: np.asarray(X).sum(axis=1)  # noqa: E731
@@ -222,16 +215,14 @@ def test_reinstrumented_game_counts_each_row_once():
     )
     ledger = EvalStats()
     for _ in range(3):  # three requests over the same game
-        runtime = GameRuntime(
-            shared_game, config=RuntimeConfig(cache=False), stats=ledger
-        )
+        runtime = GameRuntime(shared_game, stats=ledger, cache=False)
     runtime.values_batch(masks)
 
     fresh = GameRuntime(
         MarginalImputationGame(
             lambda X: X.sum(axis=1), instance, background
         ),
-        config=RuntimeConfig(cache=False),
+        cache=False,
     )
     fresh.values_batch(masks)
     # pre-fix the triple-wrapped game counted 3x the fresh baseline
