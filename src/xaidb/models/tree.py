@@ -11,6 +11,10 @@ white-box explainers traverse the structure directly:
   root-to-leaf paths;
 - GBDT influence (:mod:`xaidb.datavaluation.tree_influence`) re-estimates
   leaf values with individual training points removed.
+
+Every tree, forest member and GBM stage fits through one greedy CART
+builder whose vectorized split search picks bitwise the split of a
+per-threshold loop (the contract is on :meth:`_Builder._best_split`).
 """
 
 from __future__ import annotations
@@ -162,40 +166,34 @@ class _Builder:
             n_node_samples=np.asarray(self.n_node_samples, dtype=float),
         )
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        if self.is_classification:
-            counts = np.bincount(y.astype(int), minlength=self.n_classes)
-            return counts / counts.sum()
-        return np.asarray([float(np.mean(y))])
-
-    def _impurity(self, y: np.ndarray) -> float:
+    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """The node's ``value`` vector and its impurity (gini for
+        classifiers, variance for regressors) — one ``bincount`` serves
+        both."""
         if self.is_classification:
             counts = np.bincount(y.astype(int), minlength=self.n_classes)
             proportions = counts / counts.sum()
-            return float(1.0 - np.sum(proportions**2))
-        return float(np.var(y))
+            return proportions, float(1.0 - np.sum(proportions**2))
+        return np.asarray([float(np.mean(y))]), float(np.var(y))
 
-    def _add_node(self, y: np.ndarray) -> int:
-        index = len(self.feature)
+    def _grow(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int) -> int:
+        y_node = y[rows]
+        value, impurity = self._node_stats(y_node)
+        node = len(self.feature)
         self.children_left.append(_LEAF)
         self.children_right.append(_LEAF)
         self.feature.append(_LEAF)
         self.threshold.append(0.0)
-        self.value.append(self._node_value(y))
-        self.n_node_samples.append(len(y))
-        return index
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int) -> int:
-        y_node = y[rows]
-        node = self._add_node(y_node)
+        self.value.append(value)
+        self.n_node_samples.append(len(rows))
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or len(rows) < self.min_samples_split
             # xailint: disable=XDB006 (exact-zero impurity: node is pure by integer counts)
-            or self._impurity(y_node) == 0.0
+            or impurity == 0.0
         ):
             return node
-        split = self._best_split(X, y, rows)
+        split = self._best_split(X, y_node, rows, impurity)
         if split is None:
             return node
         feature, threshold, left_rows, right_rows = split
@@ -211,71 +209,95 @@ class _Builder:
         return self.rng.choice(n_features, size=self.max_features, replace=False)
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, rows: np.ndarray
+        self,
+        X: np.ndarray,
+        y_node: np.ndarray,
+        rows: np.ndarray,
+        parent_impurity: float,
     ):
         """Exhaustive best (feature, threshold) by weighted impurity decrease.
 
-        Uses prefix sums over the per-feature sorted order so each feature
-        costs O(n log n).
+        Every candidate feature is sorted once (stable, so equal values
+        keep row order) and all of them are scored in one
+        ``(positions, features)`` gain matrix over prefix sums.  Position
+        ``i`` puts sorted rows ``[0..i]`` left; it is admissible when both
+        sides keep ``min_samples_leaf`` rows and ``value[i] !=
+        value[i + 1]``.
+
+        The gains are the per-threshold formulas evaluated elementwise in
+        the same operation order, so the split is bitwise the one a loop
+        with a strict ``gain > best_gain`` update picks (that loop is the
+        test oracle, ``tests/models/cart_oracle.py``):
+
+        - the first position (in sorted order) with the maximal gain
+          wins within a feature, and a later candidate feature wins only
+          with a strictly larger gain;
+        - NaN and ``-inf`` gains (regression targets near the float
+          range overflow the sums of squares) are never picked;
+        - zero-gain splits of an impure node are accepted (as in classic
+          CART), which is what lets greedy recursion crack XOR-style
+          targets where no single split helps immediately.
+
+        The candidate-feature draw happens before anything can return,
+        so the forest's rng stream does not depend on which nodes have
+        an admissible position.
         """
-        y_node = y[rows]
+        features = self._candidate_features(X.shape[1])
         n = len(rows)
-        # accept any valid split of an impure node, preferring maximal
-        # impurity decrease: zero-gain splits are allowed (as in classic
-        # CART), which is what lets greedy recursion crack XOR-style
-        # targets where no single split helps immediately
-        best_gain = -np.inf
-        best = None
-        parent_impurity = self._impurity(y_node)
-        for feature in self._candidate_features(X.shape[1]):
-            values = X[rows, feature]
-            order = np.argsort(values, kind="mergesort")
-            sorted_values = values[order]
-            sorted_y = y_node[order]
-            if self.is_classification:
-                one_hot = np.zeros((n, self.n_classes))
-                one_hot[np.arange(n), sorted_y.astype(int)] = 1.0
-                left_counts = np.cumsum(one_hot, axis=0)
-                total = left_counts[-1]
-            else:
-                cum_sum = np.cumsum(sorted_y)
-                cum_sq = np.cumsum(sorted_y**2)
-            # candidate split after position i (left = [0..i], right = rest)
-            for i in range(self.min_samples_leaf - 1, n - self.min_samples_leaf):
-                if sorted_values[i] == sorted_values[i + 1]:
-                    continue
-                n_left = i + 1
-                n_right = n - n_left
-                if self.is_classification:
-                    lc = left_counts[i]
-                    rc = total - lc
-                    gini_left = 1.0 - np.sum((lc / n_left) ** 2)
-                    gini_right = 1.0 - np.sum((rc / n_right) ** 2)
-                    # xailint: disable=XDB023 (a split is only scored when the node holds n >= 2 * min_samples_leaf rows)
-                    child_impurity = (
-                        n_left * gini_left + n_right * gini_right
-                    ) / n
-                else:
-                    sum_left = cum_sum[i]
-                    sq_left = cum_sq[i]
-                    sum_right = cum_sum[-1] - sum_left
-                    sq_right = cum_sq[-1] - sq_left
-                    var_left = sq_left / n_left - (sum_left / n_left) ** 2
-                    var_right = sq_right / n_right - (sum_right / n_right) ** 2
-                    # xailint: disable=XDB023 (a split is only scored when the node holds n >= 2 * min_samples_leaf rows)
-                    child_impurity = (
-                        n_left * var_left + n_right * var_right
-                    ) / n
-                gain = parent_impurity - child_impurity
-                if gain > best_gain:
-                    best_gain = gain
-                    threshold = (sorted_values[i] + sorted_values[i + 1]) / 2.0
-                    best = (int(feature), float(threshold), i)
-        if best is None:
+        leaf = self.min_samples_leaf
+        positions = np.arange(leaf - 1, n - leaf)
+        if positions.size == 0:
             return None
-        feature, threshold, _ = best
-        mask = X[rows, feature] <= threshold
-        return feature, threshold, rows[mask], rows[~mask]
+        values = X[rows[:, None], features]
+        order = np.argsort(values, axis=0, kind="stable")
+        sorted_values = values[order, np.arange(len(features))]
+        sorted_y = y_node[order]
+        n_left = (positions + 1)[:, None]
+        n_right = n - n_left
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.is_classification:
+                one_hot = sorted_y[:, :, None] == np.arange(self.n_classes)
+                left_counts = np.cumsum(one_hot, axis=0, dtype=float)
+                lc = left_counts[positions]
+                rc = left_counts[-1] - lc
+                # the class sums reduce a contiguous last axis, the same
+                # reduction a 1-D ``np.sum`` over one position's counts runs
+                gini_left = 1.0 - np.sum((lc / n_left[:, :, None]) ** 2, axis=-1)
+                gini_right = 1.0 - np.sum((rc / n_right[:, :, None]) ** 2, axis=-1)
+                # xailint: disable=XDB023 (a split is only scored when the node holds n >= 2 * min_samples_leaf rows)
+                child_impurity = (n_left * gini_left + n_right * gini_right) / n
+            else:
+                cum_sum = np.cumsum(sorted_y, axis=0)
+                cum_sq = np.cumsum(sorted_y**2, axis=0)
+                sum_left = cum_sum[positions]
+                sq_left = cum_sq[positions]
+                sum_right = cum_sum[-1] - sum_left
+                sq_right = cum_sq[-1] - sq_left
+                # ``float_power`` calls the C library ``pow`` per element,
+                # as the scalar ``mean ** 2`` does; an array ``** 2``
+                # squares by multiplication, which rounds differently in
+                # the last bit for about 0.1% of inputs
+                var_left = sq_left / n_left - np.float_power(sum_left / n_left, 2)
+                var_right = sq_right / n_right - np.float_power(sum_right / n_right, 2)
+                # xailint: disable=XDB023 (a split is only scored when the node holds n >= 2 * min_samples_leaf rows)
+                child_impurity = (n_left * var_left + n_right * var_right) / n
+            gain = parent_impurity - child_impurity
+        admissible = (
+            sorted_values[positions] != sorted_values[positions + 1]
+        ) & ~np.isnan(gain)
+        # feature-major order, so ``argmax`` (first maximum) applies the
+        # loop's tie-breaking across features as well as within one
+        gain = np.where(admissible, gain, -np.inf).T.ravel()
+        best = int(np.argmax(gain))
+        if not gain[best] > -np.inf:
+            return None
+        column, i = divmod(best, len(positions))
+        i += leaf - 1
+        threshold = float(
+            (sorted_values[i, column] + sorted_values[i + 1, column]) / 2.0
+        )
+        mask = values[:, column] <= threshold
+        return int(features[column]), threshold, rows[mask], rows[~mask]
 
 
 class _TreeParamsMixin:

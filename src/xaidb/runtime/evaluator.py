@@ -11,6 +11,7 @@ instead of re-rolling their own loops.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -75,9 +76,9 @@ class GameRuntime:
     has one.  ``cache=False`` evaluates every request verbatim — for
     estimators whose coalitions never repeat, where lookups cannot hit.
 
-    The wrapped game is instrumented in place: its ``predict_fn`` (when
-    it has one) is replaced by a counting wrapper, so the runtime should
-    own the game for the duration of the explanation.
+    A game with a ``predict_fn`` is evaluated through a shallow copy
+    whose ``predict_fn`` counts every scored row in :attr:`stats`; the
+    caller's game object is never modified.
     """
 
     def __init__(
@@ -90,22 +91,22 @@ class GameRuntime:
     ) -> None:
         if game.n_players < 1:
             raise ValidationError("a game needs at least one player")
+        self.stats = stats or EvalStats()
+        if hasattr(game, "predict_fn"):
+            # Count on a shallow copy, so the caller's game keeps its own
+            # ``predict_fn``.  ``wrap_predict_fn`` unwraps a function that
+            # another ledger already counts, so each scored row counts
+            # exactly once, in *this* runtime's ledger.
+            game = copy.copy(game)
+            game.predict_fn = self.stats.wrap_predict_fn(game.predict_fn)
         self.n_players = game.n_players
         self.game = game
         self.config = config or RuntimeConfig()
-        self.stats = stats or EvalStats()
         self._memo: OrderedDict[int, float] | None = (
             OrderedDict() if cache else None
         )
         self._max_entries = MAX_CACHE_ENTRIES
         self._bits = [1 << player for player in range(game.n_players)]
-        # ``wrap_predict_fn`` is idempotent: re-wrapping a game that an
-        # earlier runtime already instrumented (a dispatcher reusing
-        # long-lived games) replaces the old counting wrapper instead of
-        # stacking another one, so each scored row counts exactly once —
-        # in *this* runtime's ledger.
-        if hasattr(game, "predict_fn"):
-            game.predict_fn = self.stats.wrap_predict_fn(game.predict_fn)
         self._batch_fn = getattr(game, "values_batch", None)
 
     @classmethod

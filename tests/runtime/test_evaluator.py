@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 from xaidb.exceptions import ValidationError
+from xaidb.explainers.shapley import (
+    QIIExplainer,
+    banzhaf_values,
+    banzhaf_values_sampled,
+    exact_shapley_values,
+    permutation_shapley_values,
+)
 from xaidb.explainers.shapley.games import MarginalImputationGame
 from xaidb.runtime import EvalStats, GameRuntime, RuntimeConfig
 
@@ -122,3 +129,62 @@ def test_validation():
         runtime.value([D + 3])
     with pytest.raises(ValidationError):
         RuntimeConfig(max_batch_rows=0)
+
+
+def _scored_game(scored: list[int]) -> MarginalImputationGame:
+    rng = np.random.default_rng(8)
+    weights = rng.normal(size=4)
+
+    def predict(X):
+        scored.append(len(X))
+        return np.tanh(X @ weights)
+
+    return MarginalImputationGame(
+        predict, rng.normal(size=4), rng.normal(size=(5, 4))
+    )
+
+
+_ESTIMATORS = {
+    "exact": lambda game: exact_shapley_values(game),
+    "permutation": lambda game: permutation_shapley_values(
+        game, 20, random_state=0
+    )[0],
+    "banzhaf": lambda game: banzhaf_values(game),
+    "banzhaf_sampled": lambda game: banzhaf_values_sampled(
+        game, 30, random_state=0
+    )[0],
+    "qii": lambda game: QIIExplainer(
+        game.predict_fn, game.background
+    ).shapley_qii(game.instance, n_permutations=20, random_state=0).values,
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
+def test_runtime_leaves_the_callers_game_untouched(estimator):
+    run = _ESTIMATORS[estimator]
+    scored: list[int] = []
+    game = _scored_game(scored)
+    predict = game.predict_fn
+    values = run(game)
+    assert game.predict_fn is predict
+    assert not hasattr(game.predict_fn, "__wrapped__")
+    # reusing the game gives bitwise the values of a fresh one
+    fresh = run(_scored_game([]))
+    assert np.asarray(values).tobytes() == np.asarray(fresh).tobytes()
+    assert np.asarray(run(game)).tobytes() == np.asarray(values).tobytes()
+
+
+def test_runtime_counts_each_scored_row_once():
+    scored: list[int] = []
+    game = _scored_game(scored)
+    first, second = GameRuntime(game), GameRuntime(game)
+    masks = _mask_batch(12, duplicates=False)[:, :4]
+    first.values_batch(masks)
+    counted = first.stats.n_model_evals
+    assert counted == sum(scored) > 0
+    scored.clear()
+    second.values_batch(masks)
+    second.value((0, 2))
+    assert second.stats.n_model_evals == sum(scored)
+    # the second runtime's rows land in its own ledger only
+    assert first.stats.n_model_evals == counted

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The repo gate: lint + tier-1 tests + runtime-benchmark smoke, one exit code.
+"""The repo gate: lint + tier-1 tests + benchmark smokes + claim benches, one exit code.
 
 Runs, in order, stopping at the first failure:
 
@@ -37,12 +37,18 @@ Runs, in order, stopping at the first failure:
    and gates the single-row path: the step fails if explaining one row
    at a time through the TreeSHAP kernel (``explain``, batch of one)
    takes longer than the per-row recursion, so a fixed per-call cost
-   cannot creep back into ``explain`` silently.
+   cannot creep back into ``explain`` silently;
+8. the tutorial's claim benches, E1–E20 and A1–A6
+   (``benchmarks/bench_e*.py``, ``benchmarks/bench_a01``–``a06``, see
+   EXPERIMENTS.md), with ``--benchmark-disable``: each runs its workload
+   once and asserts the claim it reproduces (LIME fidelity, TreeSHAP's
+   polynomial runtime, the Shapley axioms, ...), so a rewrite under an
+   explainer cannot break a claim silently.
 
 Usage::
 
     python tools/check.py            # the full gate
-    python tools/check.py --fast     # lint + tier-1 only (skip the bench smoke)
+    python tools/check.py --fast     # lint + tier-1 only (skip the benches)
     python tools/check.py --changed-only   # lint only files changed vs
                                            # the merge base with main
     python tools/check.py --baseline # lint failures only on findings not
@@ -128,6 +134,15 @@ def changed_python_files() -> list[str] | None:
     )
 
 
+#: The claim benches: one per EXPERIMENTS.md experiment (E1-E20) and
+#: the A1-A6 extensions — every ``bench_*.py`` that asserts a result of
+#: the tutorial rather than a runtime or lint property.
+CLAIM_BENCHES = sorted(
+    str(path)
+    for pattern in ("bench_e[0-9][0-9]_*.py", "bench_a0[1-6]_*.py")
+    for path in (REPO_ROOT / "benchmarks").glob(pattern)
+)
+
 STEPS: list[tuple[str, list[str]]] = [
     ("xailint", [sys.executable, str(REPO_ROOT / "tools" / "xailint.py")]),
     ("tier-1 tests", [sys.executable, "-m", "pytest", "-q", "tests"]),
@@ -194,6 +209,11 @@ STEPS: list[tuple[str, list[str]]] = [
                 REPO_ROOT / "benchmarks" / "bench_a15_explainer_kernels.py"
             ),
         ],
+    ),
+    (
+        "E1-E20 + A1-A6 claims",
+        [sys.executable, "-m", "pytest", "-q", "--benchmark-disable"]
+        + CLAIM_BENCHES,
     ),
 ]
 
