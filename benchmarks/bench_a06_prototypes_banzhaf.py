@@ -18,8 +18,11 @@ import numpy as np
 from benchmarks._tables import print_table
 from xaidb.data import make_two_moons
 from xaidb.explainers import MMDCritic, prototype_classifier_accuracy
-from xaidb.explainers.shapley import banzhaf_of_tuples_boolean
-from xaidb.db import Provenance, shapley_of_tuples_boolean
+from xaidb.db import (
+    Provenance,
+    banzhaf_of_tuples_boolean,
+    shapley_of_tuples_boolean,
+)
 from xaidb.models import KNeighborsClassifier, accuracy
 
 PROTOTYPE_BUDGETS = [2, 4, 8, 16]

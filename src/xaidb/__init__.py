@@ -3,7 +3,7 @@
 This package reproduces the system landscape of the SIGMOD/ICDE 2022
 tutorial *"Explainable AI: Foundations, Applications, Opportunities for
 Data Management Research"* (Pradhan, Lahiri, Galhotra, Salimi).  It
-implements, from scratch on top of numpy/scipy/networkx:
+implements, from scratch on top of numpy/scipy:
 
 - ``xaidb.models`` — the ML substrate (linear/logistic regression, CART
   trees, random forests, gradient boosting, k-NN, naive Bayes, a small MLP);

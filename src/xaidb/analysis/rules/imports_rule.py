@@ -1,11 +1,13 @@
 """XDB001 — banned third-party imports.
 
-xaidb's DESIGN contract is "from scratch — numpy/scipy/networkx only":
+xaidb's DESIGN contract is "from scratch — numpy/scipy only":
 the point of the reproduction is that every explainer's maths is visible
 and auditable, not delegated to a library whose version-to-version
 behaviour drifts (the hidden-library-behaviour instability the tutorial
 warns about).  This rule bans imports of the ML/XAI stacks the repo
-reimplements.
+reimplements, and of networkx: the causal DAG is a stdlib dict-of-dicts,
+and networkx is only the test suite's oracle for it (``tests/`` is not
+scanned).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ BANNED_ROOTS = frozenset(
         "xgboost",
         "lightgbm",
         "catboost",
+        "networkx",
     }
 )
 
@@ -43,8 +46,8 @@ class BannedImportsRule(FileRule):
     symbol = "banned-import"
     description = (
         "Import of a banned third-party package (sklearn, shap, lime, "
-        "dice_ml, captum, torch, pandas, ...): xaidb is from-scratch on "
-        "numpy/scipy/networkx only."
+        "dice_ml, captum, torch, pandas, networkx, ...): xaidb is "
+        "from-scratch on numpy/scipy only."
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
@@ -58,7 +61,7 @@ class BannedImportsRule(FileRule):
                             node,
                             f"import of banned package {root!r}; xaidb "
                             f"implements its methods from scratch on "
-                            f"numpy/scipy/networkx",
+                            f"numpy/scipy",
                         )
             elif isinstance(node, ast.ImportFrom):
                 # Relative imports (level > 0) are intra-package and
@@ -73,5 +76,5 @@ class BannedImportsRule(FileRule):
                         node,
                         f"import from banned package {root!r}; xaidb "
                         f"implements its methods from scratch on "
-                        f"numpy/scipy/networkx",
+                        f"numpy/scipy",
                     )

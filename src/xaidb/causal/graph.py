@@ -1,18 +1,26 @@
 """Causal DAGs.
 
-:class:`CausalGraph` is a thin validated wrapper around
-:class:`networkx.DiGraph` exposing exactly the queries the explainers need:
-parents, topological orderings consistent with the causal structure
-(asymmetric Shapley values restrict permutations to these), ancestors /
-descendants (causal Shapley's direct/indirect split), and edge enumeration
-(Shapley flow assigns credit to edges).
+:class:`CausalGraph` is a small validated DAG exposing exactly the queries
+the explainers need: parents, topological orderings consistent with the
+causal structure (asymmetric Shapley values restrict permutations to
+these), ancestors / descendants (causal Shapley's direct/indirect split),
+and edge enumeration (Shapley flow assigns credit to edges).
+
+The graph is two insertion-ordered dict-of-dicts (successors and
+predecessors), so every query is deterministic given the order nodes and
+edges were added.  Query results follow ``networkx.DiGraph`` on the same
+insertion order, list for list: edges are grouped by source in node
+order, :meth:`topological_order` is the lexicographic Kahn sort keyed by
+``(str(node), insertion id)``, and :meth:`all_topological_orders` is the
+Knuth–Szwarcfiter enumeration in networkx's order.  The tests check this
+against networkx as an oracle.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
 
 from xaidb.exceptions import ValidationError
 
@@ -27,96 +35,154 @@ class CausalGraph:
         nodes: Iterable[Hashable],
         edges: Iterable[tuple[Hashable, Hashable]],
     ) -> None:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(nodes)
+        # Values are unused: dicts serve as insertion-ordered sets.
+        self._succ: dict[Hashable, dict] = {n: {} for n in nodes}
+        self._pred: dict[Hashable, dict] = {n: {} for n in self._succ}
         for source, target in edges:
-            if source not in graph or target not in graph:
+            if source not in self._succ or target not in self._succ:
                 raise ValidationError(
                     f"edge ({source!r}, {target!r}) references unknown node"
                 )
-            graph.add_edge(source, target)
-        if not nx.is_directed_acyclic_graph(graph):
+            self._succ[source][target] = None
+            self._pred[target][source] = None
+        # Kahn's algorithm peels every node of a DAG; a cycle never reaches
+        # in-degree 0.
+        if len(self.topological_order()) != len(self._succ):
             raise ValidationError("causal graph must be acyclic")
-        self._graph = graph
 
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> list:
-        return list(self._graph.nodes)
+        return list(self._succ)
 
     @property
     def edges(self) -> list[tuple]:
-        return list(self._graph.edges)
+        return [(s, t) for s, targets in self._succ.items() for t in targets]
 
     def __contains__(self, node: Hashable) -> bool:
-        return node in self._graph
+        try:
+            return node in self._succ
+        except TypeError:  # unhashable: never a node
+            return False
 
     def parents(self, node: Hashable) -> list:
         self._require(node)
-        return sorted(self._graph.predecessors(node), key=str)
+        return sorted(self._pred[node], key=str)
 
     def children(self, node: Hashable) -> list:
         self._require(node)
-        return sorted(self._graph.successors(node), key=str)
+        return sorted(self._succ[node], key=str)
 
     def ancestors(self, node: Hashable) -> set:
         self._require(node)
-        return set(nx.ancestors(self._graph, node))
+        return self._reach(node, self._pred)
 
     def descendants(self, node: Hashable) -> set:
         self._require(node)
-        return set(nx.descendants(self._graph, node))
+        return self._reach(node, self._succ)
 
     def roots(self) -> list:
         """Nodes with no parents (exogenous-only variables)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [n for n, parents in self._pred.items() if not parents]
 
     def topological_order(self) -> list:
-        """One deterministic topological ordering of all nodes."""
-        return list(nx.lexicographical_topological_sort(self._graph, key=str))
+        """One deterministic topological ordering of all nodes: Kahn's
+        algorithm taking the ready node with the smallest ``str`` first,
+        ties broken by insertion order."""
+        node_id = {n: i for i, n in enumerate(self._succ)}
+        indegree = {n: len(p) for n, p in self._pred.items()}
+        heap = [(str(n), node_id[n], n) for n, d in indegree.items() if d == 0]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            node = heapq.heappop(heap)[2]
+            for child in self._succ[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(heap, (str(child), node_id[child], child))
+            order.append(node)
+        return order
 
     def all_topological_orders(self, *, limit: int | None = None) -> list[list]:
         """All topological orderings (optionally truncated at ``limit``).
 
         Asymmetric Shapley values average marginal contributions over
-        exactly these orderings.
+        exactly these orderings.  Knuth & Szwarcfiter (1974), iteratively:
+        ``ready`` holds the in-degree-0 nodes and is rotated to try each
+        one at a position; ``bases`` remembers the first node tried at each
+        position, which is exhausted once its base is back at the right end.
         """
-        orders = []
-        for order in nx.all_topological_sorts(self._graph):
-            orders.append(list(order))
-            if limit is not None and len(orders) >= limit:
-                break
-        return orders
+        count = {n: len(p) for n, p in self._pred.items()}
+        ready = deque(n for n, d in count.items() if d == 0)
+        bases: list = []
+        current: list = []
+        orders: list[list] = []
+        while True:
+            if len(current) == len(self._succ):
+                orders.append(list(current))
+                if limit is not None and len(orders) >= limit:
+                    return orders
+                while current:
+                    node = current.pop()
+                    for child in self._succ[node]:
+                        count[child] += 1
+                    while ready and count[ready[-1]] > 0:
+                        ready.pop()
+                    ready.appendleft(node)
+                    if ready[-1] == bases[-1]:
+                        bases.pop()
+                    else:
+                        break
+            else:
+                node = ready.pop()
+                for child in self._succ[node]:
+                    count[child] -= 1
+                    if count[child] == 0:
+                        ready.append(child)
+                current.append(node)
+                if len(bases) < len(current):
+                    bases.append(node)
+            if not bases:
+                return orders
 
     def is_causal_order(self, order: Sequence[Hashable]) -> bool:
         """Whether ``order`` places every node after all its ancestors."""
         position = {node: i for i, node in enumerate(order)}
-        if set(position) != set(self._graph.nodes):
+        if set(position) != set(self._succ):
             return False
         return all(
             position[source] < position[target]
-            for source, target in self._graph.edges
+            for source, target in self.edges
         )
 
     def subgraph_on(self, nodes: Iterable[Hashable]) -> "CausalGraph":
-        """Induced subgraph on ``nodes``."""
-        keep = set(nodes)
-        for node in keep:
+        """Induced subgraph on ``nodes``, in this graph's node order (so
+        its orderings never depend on the caller's order or hash seed)."""
+        nodes = list(nodes)
+        for node in nodes:
             self._require(node)
-        edges = [(s, t) for s, t in self._graph.edges if s in keep and t in keep]
-        return CausalGraph(keep, edges)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A defensive copy of the underlying networkx graph."""
-        return self._graph.copy()
+        keep = set(nodes)
+        edges = [(s, t) for s, t in self.edges if s in keep and t in keep]
+        return CausalGraph([n for n in self._succ if n in keep], edges)
 
     # ------------------------------------------------------------------
     def _require(self, node: Hashable) -> None:
-        if node not in self._graph:
+        if node not in self:
             raise ValidationError(f"unknown node {node!r}")
 
+    @staticmethod
+    def _reach(node: Hashable, adjacency: dict) -> set:
+        """Every node reachable from ``node`` along ``adjacency``, excluding
+        ``node`` itself."""
+        seen: set = set()
+        frontier = [node]
+        while frontier:
+            for nxt in adjacency[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CausalGraph({len(self._graph.nodes)} nodes, "
-            f"{len(self._graph.edges)} edges)"
-        )
+        n_edges = sum(len(t) for t in self._succ.values())
+        return f"CausalGraph({len(self._succ)} nodes, {n_edges} edges)"

@@ -30,6 +30,7 @@ from xaidb.db.repairs import (
 )
 from xaidb.db.sql_shapley import (
     BooleanQueryGame,
+    banzhaf_of_tuples_boolean,
     shapley_of_tuples,
     shapley_of_tuples_boolean,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "aggregate",
     "shapley_of_tuples",
     "shapley_of_tuples_boolean",
+    "banzhaf_of_tuples_boolean",
     "BooleanQueryGame",
     "responsibility",
     "why_provenance",

@@ -10,9 +10,10 @@ Two games over *endogenous* base tuples:
   caller-supplied query function (aggregates, model-in-the-loop queries,
   anything).
 
-Both reuse xaidb's game/estimator stack, so exact enumeration and
-permutation sampling come for free and agree with the feature-attribution
-implementations they share code with.
+The boolean game also backs :func:`banzhaf_of_tuples_boolean`, the
+power-index alternative.  All of them reuse xaidb's game/estimator stack,
+so exact enumeration and permutation sampling come for free and agree
+with the feature-attribution implementations they share code with.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from typing import Callable, Hashable, Iterable, Sequence
 from xaidb.db.provenance import Provenance
 from xaidb.db.relation import Relation
 from xaidb.exceptions import ValidationError
+from xaidb.explainers.shapley.banzhaf import (
+    banzhaf_values,
+    banzhaf_values_sampled,
+)
 from xaidb.explainers.shapley.exact import exact_shapley_values
 from xaidb.explainers.shapley.games import Game
 from xaidb.explainers.shapley.sampling import permutation_shapley_values
@@ -32,6 +37,7 @@ __all__ = [
     "BooleanQueryGame",
     "shapley_of_tuples_boolean",
     "shapley_of_tuples",
+    "banzhaf_of_tuples_boolean",
 ]
 
 QueryFn = Callable[[frozenset], float]
@@ -129,3 +135,25 @@ def shapley_of_tuples(
             game, n_permutations, random_state=random_state
         )
     return dict(zip(tuples, phi.tolist()))
+
+
+def banzhaf_of_tuples_boolean(
+    provenance: Provenance,
+    endogenous: Sequence[Hashable],
+    *,
+    exogenous: Iterable[Hashable] = (),
+    n_samples: int | None = None,
+    random_state: RandomState = None,
+) -> dict[Hashable, float]:
+    """Banzhaf value of each endogenous tuple for a boolean query answer —
+    the power-index alternative to :func:`shapley_of_tuples_boolean`."""
+    if not endogenous:
+        raise ValidationError("endogenous tuple list is empty")
+    game = BooleanQueryGame(provenance, endogenous, exogenous=exogenous)
+    if n_samples is None:
+        beta = banzhaf_values(game)
+    else:
+        beta, __ = banzhaf_values_sampled(
+            game, n_samples, random_state=random_state
+        )
+    return dict(zip(endogenous, beta.tolist()))

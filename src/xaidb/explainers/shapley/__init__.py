@@ -19,7 +19,6 @@ estimators differ in how they traverse coalitions:
 """
 
 from xaidb.explainers.shapley.banzhaf import (
-    banzhaf_of_tuples_boolean,
     banzhaf_values,
     banzhaf_values_sampled,
 )
@@ -78,5 +77,4 @@ __all__ = [
     "supervised_clustering",
     "banzhaf_values",
     "banzhaf_values_sampled",
-    "banzhaf_of_tuples_boolean",
 ]

@@ -11,17 +11,17 @@ line the tutorial cites) studies Banzhaf alongside Shapley because it is
 often computationally friendlier and more robust to utility noise.  The
 price is the efficiency axiom: Banzhaf values do not generally sum to
 ``v(N) - v(∅)`` (tests pin down exactly this difference).
+
+The Banzhaf value of tuples in a boolean query answer lives with its
+Shapley counterpart, :func:`xaidb.db.sql_shapley.banzhaf_of_tuples_boolean`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Sequence
 
 import numpy as np
 
-from xaidb.db.provenance import Provenance
-from xaidb.db.sql_shapley import BooleanQueryGame
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley.coalitions import sample_uniform_masks
 from xaidb.explainers.shapley.exact import _MAX_EXACT_PLAYERS
@@ -29,11 +29,7 @@ from xaidb.explainers.shapley.games import Game
 from xaidb.runtime import GameRuntime
 from xaidb.utils.rng import RandomState, check_random_state
 
-__all__ = [
-    "banzhaf_values",
-    "banzhaf_values_sampled",
-    "banzhaf_of_tuples_boolean",
-]
+__all__ = ["banzhaf_values", "banzhaf_values_sampled"]
 
 
 def banzhaf_values(game: Game) -> np.ndarray:
@@ -94,25 +90,3 @@ def banzhaf_values_sampled(
         errors = np.full(n, np.nan)
     return values, errors
 
-
-def banzhaf_of_tuples_boolean(
-    provenance: Provenance,
-    endogenous: Sequence[Hashable],
-    *,
-    exogenous=(),
-    n_samples: int | None = None,
-    random_state: RandomState = None,
-) -> dict[Hashable, float]:
-    """Banzhaf value of each endogenous tuple for a boolean query answer —
-    the power-index alternative to
-    :func:`xaidb.db.sql_shapley.shapley_of_tuples_boolean`."""
-    if not endogenous:
-        raise ValidationError("endogenous tuple list is empty")
-    game = BooleanQueryGame(provenance, endogenous, exogenous=exogenous)
-    if n_samples is None:
-        beta = banzhaf_values(game)
-    else:
-        beta, __ = banzhaf_values_sampled(
-            game, n_samples, random_state=random_state
-        )
-    return dict(zip(endogenous, beta.tolist()))

@@ -71,7 +71,12 @@ class TestCausalGraph:
         with pytest.raises(ValidationError):
             diamond.parents("z")
 
-    def test_to_networkx_is_copy(self, diamond):
-        g = diamond.to_networkx()
-        g.add_edge("d", "a")  # make it cyclic in the copy
+    def test_returned_node_and_edge_lists_are_copies(self, diamond):
+        diamond.nodes.append("z")
+        diamond.edges.append(("d", "a"))  # would make it cyclic
+        diamond.nodes.clear()
+        diamond.edges.clear()
+        assert diamond.nodes == ["a", "b", "c", "d"]
+        assert diamond.edges == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        assert "z" not in diamond
         assert diamond.is_causal_order(diamond.topological_order())

@@ -18,6 +18,7 @@ from xaidb.db import (
     Provenance,
     Relation,
     aggregate,
+    banzhaf_of_tuples_boolean,
     repair_blame,
     shapley_of_tuples,
     shapley_of_tuples_boolean,
@@ -26,7 +27,6 @@ from xaidb.db.repairs import _InconsistencyGame
 from xaidb.db.sql_shapley import BooleanQueryGame
 from xaidb.explainers.shapley import (
     QIIExplainer,
-    banzhaf_of_tuples_boolean,
     banzhaf_values,
     banzhaf_values_sampled,
     exact_shapley_values,

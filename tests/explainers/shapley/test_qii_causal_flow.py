@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import xaidb
 from xaidb.causal import AdditiveNoiseMechanism, CausalGraph, StructuralCausalModel
 from xaidb.exceptions import ValidationError
 from xaidb.explainers import predict_positive_proba
@@ -175,6 +181,44 @@ class TestAsymmetricShapley:
             f, independent_scm, ["A", "B"], n_samples=100
         ).explain(np.asarray([0.0, 0.0]), random_state=3)
         assert att.metadata["n_orderings"] == 2  # both orders valid
+
+    def test_truncated_orderings_do_not_depend_on_hash_seed(self):
+        """With ``max_orderings`` cutting the enumeration short, the
+        orderings averaged (and the order they are summed in) come from the
+        feature subgraph's node order, which must not follow ``set``
+        iteration of ``str`` nodes."""
+        script = (
+            "import numpy as np\n"
+            "from xaidb.causal import (AdditiveNoiseMechanism, CausalGraph,\n"
+            "                          StructuralCausalModel)\n"
+            "from xaidb.explainers.shapley import AsymmetricShapleyExplainer\n"
+            "nodes = ['a', 'b', 'c', 'd', 'e']\n"
+            "graph = CausalGraph(nodes, [('a', 'c')])\n"
+            "mech = {n: AdditiveNoiseMechanism(lambda p: 0.0) for n in nodes}\n"
+            "mech['c'] = AdditiveNoiseMechanism(lambda p: p['a'])\n"
+            "scm = StructuralCausalModel(graph, mech)\n"
+            "def f(X):\n"
+            "    return X[:, 0] * X[:, 1] + X[:, 2] ** 2 + 3 * X[:, 3] * X[:, 4]\n"
+            "att = AsymmetricShapleyExplainer(\n"
+            "    f, scm, nodes, n_samples=50, max_orderings=3\n"
+            ").explain(np.asarray([1.0, -2.0, 0.5, 2.0, 1.5]), random_state=0)\n"
+            "assert att.metadata['n_orderings'] == 3\n"
+            "print(' '.join(float(v).hex() for v in att.values))\n"
+        )
+        src = str(Path(xaidb.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
 
 class TestShapleyFlow:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xaidb.db import banzhaf_of_tuples_boolean
 from xaidb.exceptions import ValidationError
 from xaidb.explainers import (
     MMDCritic,
@@ -8,7 +9,6 @@ from xaidb.explainers import (
 )
 from xaidb.explainers.prototypes import rbf_kernel_matrix
 from xaidb.explainers.shapley import (
-    banzhaf_of_tuples_boolean,
     banzhaf_values,
     banzhaf_values_sampled,
     exact_shapley_values,
