@@ -67,7 +67,8 @@ class LimeTabularSampler:
         *,
         random_state: RandomState = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n_samples`` perturbations of ``instance``.
+        """Draw ``n_samples`` perturbations of ``instance``: the block of
+        one of :meth:`sample_block`.
 
         Returns
         -------
@@ -78,41 +79,73 @@ class LimeTabularSampler:
             perturbed feature matches the instance.
         """
         instance = check_array(instance, name="instance", ndim=1)
-        if instance.shape[0] != self.dataset.n_features:
+        perturbed, binary = self.sample_block(
+            instance[None], n_samples, [random_state]
+        )
+        return perturbed[0], binary[0]
+
+    def sample_block(
+        self,
+        instances: np.ndarray,
+        n_samples: int,
+        random_states: Sequence[RandomState],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Perturb a block of instances, one random state each.
+
+        Returns ``(B, n_samples, d)`` perturbations and match
+        indicators.  Only the draws run per instance — each from its
+        own generator, column by column — so block ``b`` is bitwise
+        what a block of that instance alone would draw; the indicators
+        are computed for the whole block at once.
+        """
+        instances = check_array(instances, name="instances", ndim=2)
+        if instances.shape[1] != self.dataset.n_features:
             raise ValidationError(
-                f"instance has {instance.shape[0]} features, expected "
+                f"instance has {instances.shape[1]} features, expected "
                 f"{self.dataset.n_features}"
             )
         if n_samples < 2:
             raise ValidationError("n_samples must be at least 2")
-        rng = check_random_state(random_state)
-        d = self.dataset.n_features
-        perturbed = np.tile(instance, (n_samples, 1))
-        binary = np.ones((n_samples, d))
-        for col in range(d):
-            if col in self.category_frequencies:
-                codes, probs = self.category_frequencies[col]
-                draws = rng.choice(codes, size=n_samples - 1, p=probs)
-                perturbed[1:, col] = draws
-                binary[1:, col] = (draws == instance[col]).astype(float)
-            else:
-                std = self.column_stds[col]
-                draws = rng.normal(instance[col], std, size=n_samples - 1)
-                perturbed[1:, col] = draws
-                tolerance = self.numeric_match_tolerance * std
-                binary[1:, col] = (
-                    np.abs(draws - instance[col]) <= tolerance
-                ).astype(float)
-        return perturbed, binary
+        if len(random_states) != instances.shape[0]:
+            raise ValidationError(
+                f"got {len(random_states)} random states for "
+                f"{instances.shape[0]} instances"
+            )
+        perturbed = np.empty((instances.shape[0], n_samples, instances.shape[1]))
+        perturbed[:, 0] = instances
+        for block, instance, random_state in zip(
+            perturbed, instances, random_states
+        ):
+            rng = check_random_state(random_state)
+            for col, value in enumerate(instance.tolist()):
+                if col in self.category_frequencies:
+                    codes, probs = self.category_frequencies[col]
+                    block[1:, col] = rng.choice(
+                        codes, size=n_samples - 1, p=probs
+                    )
+                else:
+                    block[1:, col] = rng.normal(
+                        value, self.column_stds[col], size=n_samples - 1
+                    )
+        tolerance = self.numeric_match_tolerance * self.column_stds
+        matches = np.abs(perturbed - instances[:, None, :]) <= tolerance
+        categorical = list(self.category_frequencies)
+        matches[:, :, categorical] = (
+            perturbed[:, :, categorical] == instances[:, None, categorical]
+        )
+        return perturbed, matches.astype(float)
 
     def standardised_distances(
         self, instance: np.ndarray, perturbed: np.ndarray
     ) -> np.ndarray:
         """Euclidean distances in per-column-standardised space (so the
-        locality kernel treats every feature on an equal footing)."""
-        scale = self.column_stds
-        delta = (perturbed - instance[None, :]) / scale[None, :]
-        return np.sqrt(np.sum(delta * delta, axis=1))
+        locality kernel treats every feature on an equal footing).
+
+        Stacks too: ``(B, d)`` instances against ``(B, n, d)``
+        perturbations give ``(B, n)`` distances, each row bitwise the
+        single-instance result."""
+        delta = (perturbed - instance[..., None, :]) / self.column_stds
+        return np.sqrt(np.sum(delta * delta, axis=-1))
 
 
 class ConditionalSampler:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -126,6 +126,52 @@ class FeatureAttribution:
         check_matching_lengths(
             ("feature_names", self.feature_names), ("values", self.values)
         )
+
+    @classmethod
+    def fan_out(
+        cls,
+        feature_names: Sequence[str],
+        values: np.ndarray,
+        *,
+        base_values: "float | np.ndarray",
+        predictions: np.ndarray,
+        metadata: "dict[str, Any] | list[dict[str, Any]]",
+    ) -> list["FeatureAttribution"]:
+        """One result per row of the ``(n, d)`` block ``values`` — how
+        batch explainers build their per-instance results.
+
+        The block is validated once (finite values, width equal to
+        ``feature_names``) with the checks and messages the constructor
+        would apply to every row, which is where a per-row constructor
+        spends its time on large batches.  ``base_values`` is one float
+        or one per row; ``metadata`` is one dict per row, or one dict
+        every row gets a shallow copy of.  Each result owns its
+        ``feature_names`` list and ``metadata`` dict; ``values`` rows
+        are views of the block.
+        """
+        values = check_array(values, name="values", ndim=2)
+        check_matching_lengths(
+            ("feature_names", feature_names), ("values", values[0])
+        )
+        n = values.shape[0]
+        bases = np.asarray(base_values, dtype=float).tolist()
+        if not isinstance(bases, list):
+            bases = [bases] * n
+        if isinstance(metadata, dict):
+            metadata = [dict(metadata) for _ in range(n)]
+        results = []
+        for row, base, prediction, meta in zip(
+            values, bases, np.asarray(predictions, dtype=float).tolist(), metadata
+        ):
+            # validated above: skip the per-row ``__post_init__``
+            result = cls.__new__(cls)
+            result.feature_names = list(feature_names)
+            result.values = row
+            result.base_value = base
+            result.prediction = prediction
+            result.metadata = meta
+            results.append(result)
+        return results
 
     def as_dict(self) -> dict[str, float]:
         """``{feature_name: attribution}`` mapping."""

@@ -15,6 +15,10 @@ The pipeline, exactly as the tutorial (§2.1.1) describes it:
 The surrogate's weighted R^2 is reported so callers can see when the
 "surrogate models the complex model well enough" assumption (which the
 tutorial flags as an attack surface) fails.
+
+``explain`` and ``explain_batch`` run one stacked pipeline; ``explain``
+is the batch of one.  Only step 1 and the model call stay per
+instance (see :meth:`LimeExplainer._explain_block`).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from xaidb.exceptions import ValidationError
 from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
 from xaidb.runtime import EvalStats
 from xaidb.utils.kernels import exponential_kernel
-from xaidb.utils.linalg import solve_psd
-from xaidb.utils.rng import RandomState, check_random_state, spawn_seeds
+from xaidb.utils.linalg import solve_psd_batched
+from xaidb.utils.rng import RandomState, spawn_seeds
 from xaidb.utils.validation import check_array, check_positive
 
 __all__ = ["LimeExplanation", "LimeExplainer"]
@@ -40,17 +44,69 @@ class LimeExplanation(FeatureAttribution):
     number of perturbation samples used."""
 
 
-def _weighted_ridge(
-    Z: np.ndarray, target: np.ndarray, weights: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    """Solve weighted ridge regression; returns (coefficients, intercept)."""
-    design = np.column_stack([Z, np.ones(Z.shape[0])])
-    weighted = design * weights[:, None]
-    gram = weighted.T @ design
-    penalty = np.eye(design.shape[1]) * l2
+#: Cells (instances x samples x design columns) of one stacked block.
+#: A block holds a fixed handful of arrays this size, so the budget
+#: bounds peak memory whatever the batch size, as the TreeSHAP kernel's
+#: ``_CHUNK_CELLS`` bounds its chunks.
+_BLOCK_CELLS = 1 << 14
+
+
+def _fit_surrogates(
+    Z: np.ndarray, targets: list[np.ndarray], weights: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted ridge surrogates for a stack of fits.
+
+    ``Z`` is ``(B, n, k)``, ``targets`` one ``(n,)`` model-output array
+    per slice, ``weights`` ``(B, n)``.  Returns ``(coefficients (B, k),
+    intercepts (B,), weighted R^2 (B,))``.
+
+    Every slice is bitwise the 2-D fit of that slice alone: stacked
+    ``matmul`` and ``np.linalg`` call BLAS/LAPACK once per slice, so
+    each slice keeps the 2-D path's layout, because BLAS sums in
+    another order per layout.  That path's ``column_stack`` of
+    ``design[:, selected]`` (Fortran order) and the intercept column
+    is Fortran-ordered — or C-ordered for a single selected column,
+    which is both at once.  The right-hand side is one matvec per slice
+    on the target array as the model returned it: a class-probability
+    column is a strided view, and gemv sums strided and contiguous
+    vectors in different orders.
+    """
+    B, n, k = Z.shape
+    if k == 1:
+        design = np.empty((B, n, k + 1))
+    else:
+        design = np.empty((B, k + 1, n)).transpose(0, 2, 1)
+    design[:, :, :k] = Z
+    design[:, :, k] = 1.0
+    weighted_t = (design * weights[:, :, None]).transpose(0, 2, 1)
+    penalty = np.eye(k + 1) * l2
     penalty[-1, -1] = 0.0
-    theta = solve_psd(gram + penalty, weighted.T @ target)
-    return theta[:-1], float(theta[-1])
+    theta = solve_psd_batched(
+        weighted_t @ design + penalty,
+        np.stack([w @ target for w, target in zip(weighted_t, targets)]),
+    )
+    coefficients, intercepts = theta[:, :k], theta[:, k]
+    fitted = (design[:, :, :k] @ coefficients[:, :, None])[:, :, 0]
+    fitted += intercepts[:, None]
+    scores = _weighted_r2(np.stack(targets), fitted, weights)
+    return coefficients, intercepts, scores
+
+
+def _weighted_r2(
+    target: np.ndarray, fitted: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Weighted coefficient of determination along the last axis."""
+    mean = np.average(target, axis=-1, weights=weights)
+    ss_res = np.average((target - fitted) ** 2, axis=-1, weights=weights)
+    ss_tot = np.average(
+        (target - mean[..., None]) ** 2, axis=-1, weights=weights
+    )
+    # xailint: disable=XDB006 (exact-zero denominator guard)
+    constant = ss_tot == 0.0
+    # xailint: disable=XDB023 (np.where swaps every zero ss_tot for 1.0)
+    ratio = 1.0 - ss_res / np.where(constant, 1.0, ss_tot)
+    # xailint: disable=XDB006 (exact-zero numerator of the degenerate R^2 case)
+    return np.where(constant, np.where(ss_res == 0.0, 1.0, 0.0), ratio)
 
 
 class LimeExplainer(Explainer):
@@ -105,58 +161,19 @@ class LimeExplainer(Explainer):
         *,
         random_state: RandomState = None,
     ) -> LimeExplanation:
-        """Explain ``predict_fn`` at ``instance``."""
+        """Explain ``predict_fn`` at ``instance``: :meth:`explain_batch`'s
+        pipeline at batch size one.  Metadata adds the call's
+        eval-ledger block (``n_model_evals``, ``wall_time_s``, ...)."""
         instance = check_array(instance, name="instance", ndim=1)
-        rng = check_random_state(random_state)
         stats = EvalStats()
-        counted_fn = stats.wrap_predict_fn(predict_fn)
         with stats.timer():
-            perturbed, binary = self.sampler.sample(
-                instance, self.n_samples, random_state=rng
+            (explanation,) = self._explain(
+                stats.wrap_predict_fn(predict_fn),
+                instance[None],
+                [random_state],
             )
-            predictions = np.asarray(counted_fn(perturbed), dtype=float)
-            if predictions.shape != (self.n_samples,):
-                raise ValidationError(
-                    "predict_fn must return one scalar per row; got shape "
-                    f"{predictions.shape}"
-                )
-            distances = self.sampler.standardised_distances(
-                instance, perturbed
-            )
-            weights = exponential_kernel(distances, self.kernel_width)
-
-            # interpretable representation: standardised raw values for
-            # numeric columns, match indicators for categorical columns
-            design_full = (
-                perturbed - self.sampler.column_means[None, :]
-            ) / self.sampler.column_stds[None, :]
-            for col in self.dataset.categorical_indices:
-                design_full[:, col] = binary[:, col]
-
-            selected = self._select_features(
-                design_full, predictions, weights
-            )
-            coefficients = np.zeros(self.dataset.n_features)
-            coef_sel, intercept = _weighted_ridge(
-                design_full[:, selected], predictions, weights, self.l2
-            )
-            coefficients[selected] = coef_sel
-
-            fitted = design_full[:, selected] @ coef_sel + intercept
-            score = _weighted_r2(predictions, fitted, weights)
-        return LimeExplanation(
-            feature_names=self.dataset.feature_names,
-            values=coefficients,
-            base_value=intercept,
-            prediction=float(predictions[0]),
-            metadata={
-                "score": score,
-                "n_samples": self.n_samples,
-                "kernel_width": self.kernel_width,
-                "selected_features": [int(i) for i in selected],
-                **stats.as_metadata(),
-            },
-        )
+        explanation.metadata.update(stats.as_metadata())
+        return explanation
 
     # ------------------------------------------------------------------
     def explain_batch(
@@ -167,15 +184,19 @@ class LimeExplainer(Explainer):
         random_state: RandomState = None,
         seeds: list[int | None] | None = None,
     ) -> list[LimeExplanation]:
-        """Explain many instances, one seeded :meth:`explain` each.
+        """Explain many instances in one stacked pass, **bitwise
+        identical** to ``explain(instance, random_state=seed)`` per
+        instance.
 
-        Each instance's explanation derives all randomness from its own
-        spawned child seed; :attr:`batch_stats_` records the run.
+        Each instance derives all randomness from its own spawned child
+        seed; ``seeds`` overrides them with one explicit per-instance
+        seed each — the serving dispatcher's entry point, which must
+        reproduce the serial path for every coalesced request.
+        :attr:`batch_stats_` records the run.
 
-        ``seeds`` overrides the spawned child seeds with one explicit
-        per-instance seed each — the serving dispatcher's entry point,
-        which must reproduce ``explain(instance, random_state=seed)``
-        bitwise for every coalesced request.
+        Per-instance metadata carries the fit (``score``,
+        ``selected_features``, ...) plus ``"stacked": True``; per-call
+        eval-ledger blocks are not separable once the fits are stacked.
         """
         instances = check_array(instances, name="instances", ndim=2)
         if seeds is None:
@@ -184,58 +205,144 @@ class LimeExplainer(Explainer):
             raise ValidationError(
                 f"got {len(seeds)} seeds for {instances.shape[0]} instances"
             )
-        self.batch_stats_ = EvalStats()
-        with self.batch_stats_.timer():
-            explanations = [
-                self.explain(predict_fn, instance, random_state=seed)
-                for instance, seed in zip(instances, seeds)
-            ]
-        for explanation in explanations:
-            self.batch_stats_.count_rows(
-                explanation.metadata.get("n_model_evals", 0)
+        stats = EvalStats()
+        self.batch_stats_ = stats
+        with stats.timer():
+            explanations = self._explain(
+                stats.wrap_predict_fn(predict_fn), instances, seeds
             )
+        for explanation in explanations:
+            explanation.metadata["stacked"] = True
         return explanations
+
+    # ------------------------------------------------------------------
+    def _explain(
+        self,
+        predict_fn: PredictFn,
+        instances: np.ndarray,
+        seeds: list[RandomState],
+    ) -> list[LimeExplanation]:
+        """The one LIME pipeline, over blocks of at most
+        :data:`_BLOCK_CELLS` design cells."""
+        n, d = instances.shape
+        block = max(1, _BLOCK_CELLS // (self.n_samples * (d + 1)))
+        return [
+            explanation
+            for start in range(0, n, block)
+            for explanation in self._explain_block(
+                predict_fn,
+                instances[start : start + block],
+                seeds[start : start + block],
+            )
+        ]
+
+    def _explain_block(
+        self,
+        predict_fn: PredictFn,
+        instances: np.ndarray,
+        seeds: list[RandomState],
+    ) -> list[LimeExplanation]:
+        """One stacked block of instances, fanned out into one result
+        each.
+
+        Per instance, in instance order: the seeded sampler draws
+        (:meth:`~xaidb.data.perturbation.LimeTabularSampler.sample_block`),
+        and one ``predict_fn`` call on that instance's own C-contiguous
+        ``(n_samples, d)`` array — coalescing rows across instances would
+        change call shapes, and BLAS-backed predictors (``X @ w``) are
+        not bitwise row-stable across shapes.  Everything else — match
+        indicators, distances, locality weights, the interpretable
+        design, the ridge fits and their R^2 — is computed for the whole
+        block at once.
+        """
+        B, d = instances.shape
+        n = self.n_samples
+        sampler = self.sampler
+        perturbed, binary = sampler.sample_block(instances, n, seeds)
+        predictions = []
+        for rows in perturbed:
+            # xailint: disable=XDB009 (one call per instance keeps its call shape: BLAS predictors are not row-stable across shapes)
+            output = np.asarray(predict_fn(rows), dtype=float)
+            if output.shape != (n,):
+                raise ValidationError(
+                    "predict_fn must return one scalar per row; got shape "
+                    f"{output.shape}"
+                )
+            predictions.append(output)
+        weights = exponential_kernel(
+            sampler.standardised_distances(instances, perturbed),
+            self.kernel_width,
+        )
+        # interpretable representation: standardised raw values for
+        # numeric columns, match indicators for categorical columns
+        design = (perturbed - sampler.column_means) / sampler.column_stds
+        categorical = self.dataset.categorical_indices
+        design[:, :, categorical] = binary[:, :, categorical]
+
+        budget = self.n_features_to_show
+        if budget is None or budget >= d:
+            values, intercepts, scores = _fit_surrogates(
+                design, predictions, weights, self.l2
+            )
+            selected = [list(range(d)) for _ in range(B)]
+        else:
+            columns = np.asarray(
+                [
+                    self._select_features(design[b], predictions[b], weights[b])
+                    for b in range(B)
+                ]
+            )
+            coefficients, intercepts, scores = _fit_surrogates(
+                np.take_along_axis(design, columns[:, None, :], axis=2),
+                predictions,
+                weights,
+                self.l2,
+            )
+            values = np.zeros((B, d))
+            np.put_along_axis(values, columns, coefficients, axis=1)
+            selected = columns.tolist()
+        return LimeExplanation.fan_out(
+            self.dataset.feature_names,
+            values,
+            base_values=intercepts,
+            predictions=[output[0] for output in predictions],
+            metadata=[
+                {
+                    "score": score,
+                    "n_samples": n,
+                    "kernel_width": self.kernel_width,
+                    "selected_features": features,
+                }
+                for score, features in zip(scores.tolist(), selected)
+            ],
+        )
 
     # ------------------------------------------------------------------
     def _select_features(
         self, Z: np.ndarray, target: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
-        """Greedy forward selection on weighted residual reduction.
+        """Greedy forward selection on the weighted R^2 of one instance.
 
-        Mirrors LIME's ``forward_selection`` option; with
-        ``n_features_to_show=None`` every feature is kept.
+        Mirrors LIME's ``forward_selection`` option.  Each step fits
+        every remaining candidate (columns ``selected + [candidate]``,
+        in that order) in one stacked call and keeps the first best in
+        the remaining set's iteration order.
         """
-        n_features = Z.shape[1]
-        budget = self.n_features_to_show
-        if budget is None or budget >= n_features:
-            return np.arange(n_features)
         selected: list[int] = []
-        remaining = set(range(n_features))
-        for _ in range(budget):
+        remaining = set(range(Z.shape[1]))
+        for _ in range(self.n_features_to_show):
+            candidates = list(remaining)
+            columns = [selected + [candidate] for candidate in candidates]
+            _, _, scores = _fit_surrogates(
+                Z[:, columns].transpose(1, 0, 2),
+                [target] * len(candidates),
+                np.broadcast_to(weights, (len(candidates), weights.shape[0])),
+                self.l2,
+            )
             best_feature, best_score = None, -np.inf
-            for candidate in remaining:
-                columns = selected + [candidate]
-                coef, intercept = _weighted_ridge(
-                    Z[:, columns], target, weights, self.l2
-                )
-                fitted = Z[:, columns] @ coef + intercept
-                score = _weighted_r2(target, fitted, weights)
+            for candidate, score in zip(candidates, scores.tolist()):
                 if score > best_score:
                     best_feature, best_score = candidate, score
             selected.append(best_feature)
             remaining.discard(best_feature)
         return np.asarray(sorted(selected), dtype=int)
-
-
-def _weighted_r2(
-    target: np.ndarray, fitted: np.ndarray, weights: np.ndarray
-) -> float:
-    """Weighted coefficient of determination."""
-    mean = float(np.average(target, weights=weights))
-    ss_res = float(np.average((target - fitted) ** 2, weights=weights))
-    ss_tot = float(np.average((target - mean) ** 2, weights=weights))
-    # xailint: disable=XDB006 (exact-zero denominator guard)
-    if ss_tot == 0.0:
-        # xailint: disable=XDB006 (exact-zero numerator of the degenerate R^2 case)
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot

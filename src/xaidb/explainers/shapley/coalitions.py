@@ -92,12 +92,40 @@ def _sampled_design(
     n_pairs = budget // 2
     masks = np.zeros((2 * n_pairs, d), dtype=bool)
     drawn_sizes = rng.choice(sizes, size=n_pairs, p=probabilities)
-    for pair, size in enumerate(drawn_sizes):
-        chosen = rng.choice(d, size=int(size), replace=False)
-        masks[2 * pair, chosen] = True
-        masks[2 * pair + 1] = ~masks[2 * pair]
-    unique_masks, counts = np.unique(masks, axis=0, return_counts=True)
+    chosen = [
+        rng.choice(d, size=int(size), replace=False) for size in drawn_sizes
+    ]
+    pair_rows = np.repeat(np.arange(0, 2 * n_pairs, 2), drawn_sizes)
+    masks[pair_rows, np.concatenate(chosen)] = True
+    masks[1::2] = ~masks[0::2]
+    unique_masks, counts = _unique_rows(masks)
     return unique_masks, counts.astype(float)
+
+
+def _unique_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(masks, axis=0, return_counts=True)`` for a boolean
+    matrix: the same rows, in the same (lexicographic, column 0 first)
+    order, with the same counts.
+
+    Rows are packed into big-endian 64-bit words — bit order then
+    matches column order, so sorting the words sorts the rows — and
+    sorted with one ``lexsort`` over the words, instead of the
+    structured per-column sort ``np.unique(axis=0)`` runs.  One word
+    covers ``d <= 64``; wider rows take more words on the same path.
+    """
+    n = masks.shape[0]
+    packed = np.packbits(masks, axis=1)
+    n_words = -(-packed.shape[1] // 8)
+    padded = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    words = padded.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
+    )
+    counts = np.diff(np.append(starts, n))
+    return masks[order[starts]], counts
 
 
 def kernel_shap_design(

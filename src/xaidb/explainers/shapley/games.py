@@ -92,10 +92,42 @@ class MarginalImputationGame(Game):
                 f"background has {background.shape[1]} columns, instance "
                 f"has {instance.shape[0]}"
             )
+        self._bind(predict_fn, instance, background)
+
+    def _bind(
+        self, predict_fn: PredictFn, instance: np.ndarray, background: np.ndarray
+    ) -> None:
         super().__init__(instance.shape[0])
         self.predict_fn = predict_fn
         self.instance = instance
         self.background = background
+
+    @classmethod
+    def for_rows(
+        cls,
+        predict_fn: PredictFn,
+        instances: np.ndarray,
+        background: np.ndarray,
+    ) -> list["MarginalImputationGame"]:
+        """One game per row of ``instances``, all sharing ``background``.
+
+        Equivalent to constructing each game separately, but the rows
+        and the shared background are validated once for the whole
+        block rather than once per game.
+        """
+        instances = check_array(instances, name="instances", ndim=2)
+        background = check_array(background, name="background", ndim=2)
+        if background.shape[1] != instances.shape[1]:
+            raise ValidationError(
+                f"background has {background.shape[1]} columns, instance "
+                f"has {instances.shape[1]}"
+            )
+        games = []
+        for instance in instances:
+            game = cls.__new__(cls)
+            game._bind(predict_fn, instance, background)
+            games.append(game)
+        return games
 
     def value(self, coalition: Iterable[int]) -> float:
         present = sorted(set(coalition))

@@ -29,7 +29,7 @@ from xaidb.explainers.base import Explainer, FeatureAttribution, PredictFn
 from xaidb.explainers.shapley.coalitions import kernel_shap_design
 from xaidb.explainers.shapley.games import MarginalImputationGame
 from xaidb.runtime import EvalStats, GameRuntime, RuntimeConfig
-from xaidb.utils.linalg import solve_psd_stacked
+from xaidb.utils.linalg import solve_psd_batched
 from xaidb.utils.rng import RandomState, spawn_seeds
 from xaidb.utils.validation import check_array
 
@@ -182,9 +182,15 @@ class KernelShapExplainer(Explainer):
         stats = EvalStats()
         self.batch_stats_ = stats
         with stats.timer():
+            games = MarginalImputationGame.for_rows(
+                self.predict_fn, instances, self.background
+            )
             attributions = self._explain_runtimes(
                 # uncached, as in ``explain``
-                [self._runtime(row, stats, cache=False) for row in instances],
+                [
+                    GameRuntime(game, config=self.config, stats=stats, cache=False)
+                    for game in games
+                ],
                 seeds,
             )
         for attribution in attributions:
@@ -227,22 +233,21 @@ class KernelShapExplainer(Explainer):
         phis = self._solve_stacked(
             designs, coalition_values, base_value, full_values
         )
-        names = self.feature_names or [f"x{i}" for i in range(d)]
         exhaustive = (2**d - 2) <= self.n_coalitions
-        return [
-            FeatureAttribution(
-                feature_names=list(names),
-                values=phis[i],
-                base_value=base_value,
-                prediction=float(full_values[i]),
-                metadata={
+        return FeatureAttribution.fan_out(
+            self.feature_names or [f"x{i}" for i in range(d)],
+            phis,
+            base_values=base_value,
+            predictions=full_values,
+            metadata=[
+                {
                     "method": "kernel_shap",
                     "n_coalitions": int(masks.shape[0]),
                     "exhaustive": exhaustive,
-                },
-            )
-            for i, (masks, _) in enumerate(designs)
-        ]
+                }
+                for masks, _ in designs
+            ],
+        )
 
     # ------------------------------------------------------------------
     def _solve_stacked(
@@ -255,34 +260,32 @@ class KernelShapExplainer(Explainer):
         """Constrained weighted least squares per instance, with the
         efficiency constraint eliminated onto the last feature.  Every
         instance with the same mask set (the arena returns identical
-        objects for identical designs) shares the design matrix, Gram
-        matrix and Cholesky factorization, substituting per column so
-        each solution is bitwise the single-RHS ``solve_psd``."""
+        objects for identical designs) shares the design and Gram
+        matrix; every system's Cholesky factorization and solves then
+        run in one stacked call (:func:`solve_psd_batched`), each
+        bitwise the single-RHS ``solve_psd``."""
         n = len(designs)
         d = designs[0][0].shape[1]
         groups: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
         for i, (masks, weights) in enumerate(designs):
             groups.setdefault(id(masks), (masks, weights, []))[2].append(i)
-        phis = np.empty((n, d))
+        deltas = full_values - base_value
+        grams = np.empty((n, d - 1, d - 1))
+        rhs = np.empty((n, d - 1))
         for masks, weights, members in groups.values():
             Z = masks.astype(float)
             design = Z[:, :-1] - Z[:, -1][:, None]
             weighted = design * weights[:, None]
-            gram = weighted.T @ design + self.l2 * np.eye(d - 1)
-            rhs = np.empty((d - 1, len(members)))
-            deltas = np.empty(len(members))
-            for column, i in enumerate(members):
-                delta = full_values[i] - base_value
-                target = coalition_values[i] - base_value - Z[:, -1] * delta
-                # per-column matvec: the multi-RHS gemm is not bitwise
+            grams[members] = weighted.T @ design + self.l2 * np.eye(d - 1)
+            for i in members:
+                target = coalition_values[i] - base_value - Z[:, -1] * deltas[i]
+                # per-instance matvec: the multi-RHS gemm is not bitwise
                 # column-equivalent to the serial dgemv
-                rhs[:, column] = weighted.T @ target
-                deltas[column] = delta
-            heads = solve_psd_stacked(gram, rhs)
-            for column, i in enumerate(members):
-                head = heads[:, column].copy()
-                phis[i, :-1] = head
-                phis[i, -1] = deltas[column] - head.sum()
+                rhs[i] = weighted.T @ target
+        heads = solve_psd_batched(grams, rhs)
+        phis = np.empty((n, d))
+        phis[:, :-1] = heads
+        phis[:, -1] = deltas - heads.sum(axis=1)
         return phis
 
     # ------------------------------------------------------------------

@@ -469,22 +469,18 @@ class TreeShapExplainer(Explainer):
         predictions = np.full(instances.shape[0], self.offset_, dtype=float)
         for t, (_, _, scale) in enumerate(self.terms_):
             predictions += scale * pack.values[leaves[t]]
-        names = self.feature_names or [f"x{i}" for i in range(n_features)]
-        return [
-            FeatureAttribution(
-                feature_names=list(names),
-                values=phi[i],
-                base_value=base,
-                prediction=float(predictions[i]),
-                metadata={
-                    "method": "tree_shap_path_dependent",
-                    "output": self.description_,
-                    "n_trees": len(self.terms_),
-                    "batched": True,
-                },
-            )
-            for i in range(instances.shape[0])
-        ]
+        return FeatureAttribution.fan_out(
+            self.feature_names or [f"x{i}" for i in range(n_features)],
+            phi,
+            base_values=base,
+            predictions=predictions,
+            metadata={
+                "method": "tree_shap_path_dependent",
+                "output": self.description_,
+                "n_trees": len(self.terms_),
+                "batched": True,
+            },
+        )
 
     def explain_interventional(
         self, instance: np.ndarray, background: np.ndarray

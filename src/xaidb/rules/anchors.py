@@ -96,6 +96,37 @@ def kl_lower_bound(mean: float, n: int, beta: float) -> float:
     return hi
 
 
+class _BoundTable:
+    """KL-LUCB confidence bounds of one anchor search, memoised by
+    ``(hits, n)`` (``beta`` is fixed per explainer, so the counts
+    determine each bound).
+
+    Each bound is 40 bisection steps, and the bandit re-asks for the
+    same counts on every round an arm goes unsampled.  The table lives
+    as long as one search, so it holds at most one entry per distinct
+    count the search reached.
+    """
+
+    def __init__(self, beta: float) -> None:
+        self.beta = beta
+        self._lower: dict[tuple[int, int], float] = {}
+        self._upper: dict[tuple[int, int], float] = {}
+
+    def lower(self, hits: int, n: int) -> float:
+        value = self._lower.get((hits, n))
+        if value is None:
+            mean = hits / n if n else 0.0
+            value = self._lower[hits, n] = kl_lower_bound(mean, n, self.beta)
+        return value
+
+    def upper(self, hits: int, n: int) -> float:
+        value = self._upper.get((hits, n))
+        if value is None:
+            mean = hits / n if n else 0.0
+            value = self._upper[hits, n] = kl_upper_bound(mean, n, self.beta)
+        return value
+
+
 class AnchorsExplainer:
     """Beam-search anchors with KL-LUCB candidate selection.
 
@@ -260,6 +291,14 @@ class AnchorsExplainer:
         def count(anchor: tuple[int, ...]) -> int:
             return stats.get(anchor, (0, 0))[1]
 
+        bounds = _BoundTable(np.log(1.0 / self.delta))
+
+        def lower(anchor: tuple[int, ...]) -> float:
+            return bounds.lower(*stats.get(anchor, (0, 0)))
+
+        def upper(anchor: tuple[int, ...]) -> float:
+            return bounds.upper(*stats.get(anchor, (0, 0)))
+
         current_beam: list[tuple[int, ...]] = [()]
         best_anchor: tuple[int, ...] | None = None
         all_columns = list(range(self.dataset.n_features))
@@ -275,7 +314,7 @@ class AnchorsExplainer:
             if not candidates:
                 break
             chosen = self._select_candidates(
-                candidates, sample_precision, mean, count
+                candidates, sample_precision, mean, count, lower, upper
             )
             # did any chosen candidate reach the precision threshold with
             # statistical confidence?
@@ -283,21 +322,10 @@ class AnchorsExplainer:
             for anchor in chosen:
                 while (
                     count(anchor) < self.max_samples_per_candidate
-                    and kl_lower_bound(
-                        mean(anchor),
-                        count(anchor),
-                        np.log(1.0 / self.delta),
-                    )
-                    < self.precision_threshold
-                    <= kl_upper_bound(
-                        mean(anchor), count(anchor), np.log(1.0 / self.delta)
-                    )
+                    and lower(anchor) < self.precision_threshold <= upper(anchor)
                 ):
                     sample_precision(anchor, self.batch_size)
-                lower = kl_lower_bound(
-                    mean(anchor), count(anchor), np.log(1.0 / self.delta)
-                )
-                if lower >= self.precision_threshold:
+                if lower(anchor) >= self.precision_threshold:
                     verified.append(anchor)
             if verified:
                 # among verified anchors prefer the highest coverage
@@ -374,13 +402,14 @@ class AnchorsExplainer:
         return coverage
 
     def _select_candidates(
-        self, candidates, sample_precision, mean, count
+        self, candidates, sample_precision, mean, count, lower, upper
     ) -> list[tuple[int, ...]]:
         """Pick the top ``beam_width`` candidates.
 
-        KL-LUCB: iteratively sample the most ambiguous pair (lowest upper
+        KL-LUCB: iteratively sample the most ambiguous pair (lowest lower
         bound inside the provisional top set vs highest upper bound
         outside) until the sets separate or the budget runs out.
+        ``lower``/``upper`` are the search's memoised KL bounds.
         """
         top_k = min(self.beam_width, len(candidates))
         for candidate in candidates:
@@ -394,7 +423,6 @@ class AnchorsExplainer:
             ranked = sorted(candidates, key=mean, reverse=True)
             return ranked[:top_k]
 
-        beta = np.log(1.0 / self.delta)
         budget = self.max_samples_per_candidate * len(candidates) // 4
         while budget > 0:
             means = {c: mean(c) for c in candidates}
@@ -402,17 +430,9 @@ class AnchorsExplainer:
             inside, outside = ranked[:top_k], ranked[top_k:]
             if not outside:
                 break
-            weakest = min(
-                inside,
-                key=lambda c: kl_lower_bound(means[c], count(c), beta),
-            )
-            strongest = max(
-                outside,
-                key=lambda c: kl_upper_bound(means[c], count(c), beta),
-            )
-            lower = kl_lower_bound(means[weakest], count(weakest), beta)
-            upper = kl_upper_bound(means[strongest], count(strongest), beta)
-            if lower >= upper:
+            weakest = min(inside, key=lower)
+            strongest = max(outside, key=upper)
+            if lower(weakest) >= upper(strongest):
                 break  # confidently separated
             sample_precision(weakest, self.batch_size)
             sample_precision(strongest, self.batch_size)

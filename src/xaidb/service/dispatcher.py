@@ -18,6 +18,8 @@ Built-in explainer names: ``"lime"``, ``"kernel_shap"``, ``"anchors"``,
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -35,7 +37,20 @@ from xaidb.service.types import (
     config_digest,
 )
 
-__all__ = ["ModelEntry", "Dispatcher", "BackendFn", "BackendFactory"]
+__all__ = [
+    "ModelEntry",
+    "Dispatcher",
+    "BackendFn",
+    "BackendFactory",
+    "MAX_BACKENDS",
+]
+
+#: Most backends one dispatcher keeps built.  Backend keys include a
+#: digest of the client-supplied config, so without a bound every
+#: distinct config a client sends would pin an explainer forever; the
+#: least recently used backend is dropped (and rebuilt on its next
+#: request) instead.
+MAX_BACKENDS = 64
 
 #: A built backend: ``(instances, per-instance seeds) -> (results,
 #: evaluation ledger or None)``.
@@ -169,11 +184,15 @@ _BUILTIN_FACTORIES: dict[str, BackendFactory] = {
 class Dispatcher:
     """Model + explainer registries with a per-batch-key backend cache.
 
+    Backends are kept in a least-recently-used cache of at most
+    :data:`MAX_BACKENDS` entries.
+
     Thread-safety note: :meth:`dispatch` runs in worker threads (the
-    server calls it via ``asyncio.to_thread``), but the server
-    serialises dispatches *per batch key*, and the registries are
-    written only at setup time — so no locking is needed as long as
-    registration precedes serving.
+    server calls it via ``asyncio.to_thread``), and distinct batch keys
+    dispatch concurrently, so the backend cache is guarded by a lock; a
+    backend is built outside it.  The model and explainer registries
+    are written only at setup time — no locking is needed for them as
+    long as registration precedes serving.
     """
 
     def __init__(self) -> None:
@@ -181,7 +200,10 @@ class Dispatcher:
         self._factories: dict[str, BackendFactory] = dict(
             _BUILTIN_FACTORIES
         )
-        self._backends: dict[tuple[str, str, str], BackendFn] = {}
+        self._backends: OrderedDict[tuple[str, str, str], BackendFn] = (
+            OrderedDict()
+        )
+        self._backends_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def register_model(
@@ -212,21 +234,18 @@ class Dispatcher:
             model=model,
         )
         self._models[digest] = entry
-        self._backends = {
-            key: backend
-            for key, backend in self._backends.items()
-            if key[0] != digest
-        }
+        self._drop_backends(lambda key: key[0] == digest)
         return entry
 
     def register_explainer(self, name: str, factory: BackendFactory) -> None:
         """Register (or replace) an explainer factory under ``name``."""
         self._factories[name] = factory
-        self._backends = {
-            key: backend
-            for key, backend in self._backends.items()
-            if key[1] != name
-        }
+        self._drop_backends(lambda key: key[1] == name)
+
+    def _drop_backends(self, stale: Callable[[tuple], bool]) -> None:
+        with self._backends_lock:
+            for key in [key for key in self._backends if stale(key)]:
+                del self._backends[key]
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -241,21 +260,28 @@ class Dispatcher:
         self, model: str, explainer: str, config: dict[str, Any]
     ) -> BackendFn:
         key = (model, explainer, config_digest(config))
-        backend = self._backends.get(key)
-        if backend is None:
-            entry = self._models.get(model)
-            if entry is None:
-                raise UnknownModelError(
-                    f"no model registered under digest {model!r}"
-                )
-            factory = self._factories.get(explainer)
-            if factory is None:
-                raise UnknownExplainerError(
-                    f"no explainer registered under {explainer!r} "
-                    f"(have: {sorted(self._factories)})"
-                )
-            backend = factory(entry, dict(config))
-            self._backends[key] = backend
+        with self._backends_lock:
+            backend = self._backends.get(key)
+            if backend is not None:
+                self._backends.move_to_end(key)
+                return backend
+        entry = self._models.get(model)
+        if entry is None:
+            raise UnknownModelError(
+                f"no model registered under digest {model!r}"
+            )
+        factory = self._factories.get(explainer)
+        if factory is None:
+            raise UnknownExplainerError(
+                f"no explainer registered under {explainer!r} "
+                f"(have: {sorted(self._factories)})"
+            )
+        backend = factory(entry, dict(config))
+        with self._backends_lock:
+            backend = self._backends.setdefault(key, backend)
+            self._backends.move_to_end(key)
+            while len(self._backends) > MAX_BACKENDS:
+                self._backends.popitem(last=False)
         return backend
 
     def dispatch(

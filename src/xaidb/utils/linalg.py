@@ -8,7 +8,7 @@ from xaidb.exceptions import ConvergenceError
 
 __all__ = [
     "solve_psd",
-    "solve_psd_stacked",
+    "solve_psd_batched",
     "conjugate_gradient",
     "batched_outer_sum",
     "logsumexp",
@@ -36,38 +36,27 @@ def solve_psd(matrix: np.ndarray, rhs: np.ndarray, *, ridge: float = 0.0) -> np.
         return solution
 
 
-def solve_psd_stacked(
-    matrix: np.ndarray, rhs_columns: np.ndarray, *, ridge: float = 0.0
-) -> np.ndarray:
-    """Solve ``(matrix + ridge*I) X = rhs_columns`` for many right-hand
-    sides, factorizing once and substituting column by column.
+def solve_psd_batched(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a stack of PSD systems ``matrices[b] x = rhs[b]`` at once.
 
-    Column ``k`` of the result is **bitwise identical** to
-    ``solve_psd(matrix, rhs_columns[:, k])``: the Cholesky factor of a
-    given matrix is deterministic, and the per-column triangular solves
-    replay exactly the single-RHS path.  The obvious one-shot
-    multi-RHS ``np.linalg.solve(a, rhs_columns)`` is deliberately
-    avoided — the blocked (gemm-based) BLAS kernels it dispatches to
-    are *not* column-for-column identical to the vector path, so it
-    would break the stacked-solve == per-instance-solve contract the
-    batched KernelSHAP relies on.  The factorization is still shared,
-    which is where the time goes.
+    Row ``b`` of the result is **bitwise identical** to
+    ``solve_psd(matrices[b], rhs[b])``: the stacked ``cholesky`` and
+    ``solve`` gufuncs hand each matrix to the same LAPACK routines the
+    2-D calls use.  The obvious one-shot multi-RHS solve against one
+    shared matrix is deliberately avoided — the blocked (gemm-based)
+    kernels it dispatches to are not column-for-column identical to the
+    vector path.  When any factorization fails the whole stack goes
+    through :func:`solve_psd`, whose least-squares fallback then
+    applies to exactly the singular systems.
     """
-    a = np.asarray(matrix, dtype=float)
-    if ridge:
-        a = a + ridge * np.eye(a.shape[0])
-    rhs = np.asarray(rhs_columns, dtype=float)
-    out = np.empty((a.shape[0], rhs.shape[1]))
+    a = np.asarray(matrices, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     try:
         chol = np.linalg.cholesky(a)
+        y = np.linalg.solve(chol, b[..., None])
+        return np.linalg.solve(chol.transpose(0, 2, 1), y)[..., 0]
     except np.linalg.LinAlgError:
-        for k in range(rhs.shape[1]):
-            out[:, k] = np.linalg.lstsq(a, rhs[:, k], rcond=None)[0]
-        return out
-    for k in range(rhs.shape[1]):
-        y = np.linalg.solve(chol, rhs[:, k])
-        out[:, k] = np.linalg.solve(chol.T, y)
-    return out
+        return np.stack([solve_psd(m, r) for m, r in zip(a, b)])
 
 
 def conjugate_gradient(

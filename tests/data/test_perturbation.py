@@ -61,6 +61,29 @@ class TestLimeTabularSampler:
         assert np.all(d >= 0)
 
 
+    def test_block_rows_are_the_single_instance_draws(self, income):
+        """Block ``b`` draws exactly what ``sample`` draws for that
+        instance and seed, whatever else the block holds."""
+        sampler = LimeTabularSampler(income.dataset)
+        X = income.dataset.X[:5]
+        seeds = [3, None, 3, np.random.default_rng(9), 11]
+        replay = [3, None, 3, np.random.default_rng(9), 11]
+        perturbed, binary = sampler.sample_block(X, 40, seeds)
+        assert perturbed.shape == binary.shape == (5, 40, X.shape[1])
+        for b in (0, 2, 3, 4):
+            want_x, want_z = sampler.sample(X[b], 40, random_state=replay[b])
+            assert perturbed[b].tobytes() == want_x.tobytes()
+            assert binary[b].tobytes() == want_z.tobytes()
+            assert perturbed[b].flags["C_CONTIGUOUS"]
+
+    def test_block_rejects_a_wrong_width_or_seed_count(self, income):
+        sampler = LimeTabularSampler(income.dataset)
+        with pytest.raises(ValidationError, match="features"):
+            sampler.sample_block(income.dataset.X[:2, :3], 10, [0, 1])
+        with pytest.raises(ValidationError, match="random states"):
+            sampler.sample_block(income.dataset.X[:2], 10, [0])
+
+
 class TestConditionalSampler:
     def test_fixed_columns_pinned(self, income):
         sampler = ConditionalSampler(income.dataset)

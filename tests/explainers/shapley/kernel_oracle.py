@@ -3,14 +3,19 @@ pipeline: a fresh :class:`MarginalImputationGame` per instance, direct
 ``value``/``values_batch`` calls (no runtime, no cache) and one
 single-RHS ``solve_psd`` per instance.  The stacked pipeline behind
 ``KernelShapExplainer.explain``/``explain_batch`` must match it bitwise.
+:func:`sampled_design_reference` is the sampled coalition design drawn
+pair by pair and deduplicated with ``np.unique(axis=0)``.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
 from xaidb.explainers.shapley.coalitions import kernel_shap_design
 from xaidb.explainers.shapley.games import MarginalImputationGame
+from xaidb.utils.combinatorics import shapley_kernel_weight
 from xaidb.utils.linalg import solve_psd
 
 
@@ -50,3 +55,22 @@ def kernel_shap_reference(explainer, instances, seeds):
         phi = constrained_wls(masks, values, weights, base, full, explainer.l2)
         out.append((phi, base, full))
     return out
+
+
+def sampled_design_reference(d, budget, rng):
+    """Size-stratified paired masks, one pair at a time, aggregated with
+    ``np.unique(masks, axis=0, return_counts=True)``."""
+    sizes = np.arange(1, d)
+    mass = np.asarray(
+        [shapley_kernel_weight(int(s), d) * comb(d, int(s)) for s in sizes]
+    )
+    probabilities = mass / mass.sum()
+    n_pairs = budget // 2
+    masks = np.zeros((2 * n_pairs, d), dtype=bool)
+    drawn_sizes = rng.choice(sizes, size=n_pairs, p=probabilities)
+    for pair, size in enumerate(drawn_sizes):
+        chosen = rng.choice(d, size=int(size), replace=False)
+        masks[2 * pair, chosen] = True
+        masks[2 * pair + 1] = ~masks[2 * pair]
+    unique_masks, counts = np.unique(masks, axis=0, return_counts=True)
+    return unique_masks, counts.astype(float)

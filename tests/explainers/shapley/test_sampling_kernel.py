@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xaidb.exceptions import ValidationError
 from xaidb.explainers import predict_positive_proba
@@ -9,12 +11,12 @@ from xaidb.explainers.shapley import (
     exact_shapley_values,
     permutation_shapley_values,
 )
-from xaidb.explainers.shapley.coalitions import _sampled_design
+from xaidb.explainers.shapley.coalitions import _sampled_design, _unique_rows
 from xaidb.explainers.shapley.games import FunctionGame
 from xaidb.runtime import GameRuntime
 from xaidb.utils.rng import check_random_state
 
-from .kernel_oracle import constrained_wls
+from .kernel_oracle import constrained_wls, sampled_design_reference
 
 
 def glove_game():
@@ -202,3 +204,41 @@ class TestKernelShap:
             full,
         )
         assert np.allclose(aggregated, expanded, atol=1e-8)
+
+
+class TestPackedDedup:
+    """``_unique_rows`` is ``np.unique(axis=0, return_counts=True)`` on
+    boolean matrices, and the sampled design it feeds is the pair-by-pair
+    reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        d=st.sampled_from([1, 2, 3, 7, 8, 9, 15, 63, 64, 65, 128, 130]),
+        density=st.floats(0.0, 1.0),
+        duplicate_rows=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_np_unique(self, n, d, density, duplicate_rows, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.random((n, d)) < density
+        if duplicate_rows:
+            masks = masks[rng.integers(0, n, size=2 * n)]
+        want_rows, want_counts = np.unique(masks, axis=0, return_counts=True)
+        rows, counts = _unique_rows(masks)
+        assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        assert counts.dtype == want_counts.dtype
+        assert counts.tobytes() == want_counts.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 7, 12, 70])
+    @pytest.mark.parametrize("budget", [4, 64, 513])
+    def test_sampled_design_is_the_reference(self, d, budget):
+        for seed in range(4):
+            masks, weights = _sampled_design(d, budget, check_random_state(seed))
+            want_masks, want_weights = sampled_design_reference(
+                d, budget, check_random_state(seed)
+            )
+            assert masks.tobytes() == want_masks.tobytes()
+            assert masks.shape == want_masks.shape
+            assert weights.tobytes() == want_weights.tobytes()

@@ -85,3 +85,80 @@ class TestPredictFnAdapters:
         g = as_predict_fn(income_logistic, output="probability", class_index=1)
         X = income.dataset.X[:3]
         assert np.allclose(f(X), g(X))
+
+
+class TestFanOut:
+    def test_rows_match_the_constructor(self):
+        values = np.asarray([[1.0, -2.0], [0.5, 0.0], [3.0, 4.0]])
+        results = FeatureAttribution.fan_out(
+            ["a", "b"],
+            values,
+            base_values=np.asarray([0.1, 0.2, 0.3]),
+            predictions=np.asarray([1.0, 2.0, 3.0]),
+            metadata={"method": "m"},
+        )
+        for i, result in enumerate(results):
+            want = FeatureAttribution(
+                ["a", "b"],
+                values[i],
+                base_value=[0.1, 0.2, 0.3][i],
+                prediction=[1.0, 2.0, 3.0][i],
+                metadata={"method": "m"},
+            )
+            assert type(result) is FeatureAttribution
+            assert result.values.tobytes() == want.values.tobytes()
+            assert result.feature_names == want.feature_names
+            assert result.base_value == want.base_value
+            assert type(result.base_value) is float
+            assert result.prediction == want.prediction
+            assert type(result.prediction) is float
+            assert result.metadata == want.metadata
+
+    def test_subclass_and_shared_base_value(self):
+        class Sub(FeatureAttribution):
+            pass
+
+        (result,) = Sub.fan_out(
+            ["a"], np.ones((1, 1)), base_values=0.5, predictions=[2.0],
+            metadata=[{"k": 1}],
+        )
+        assert type(result) is Sub
+        assert result.base_value == 0.5
+
+    def test_nan_raises_what_the_constructor_raises(self):
+        values = np.asarray([[1.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(ValidationError) as per_row:
+            FeatureAttribution(["a", "b"], values[1])
+        with pytest.raises(ValidationError) as block:
+            FeatureAttribution.fan_out(
+                ["a", "b"], values, base_values=0.0, predictions=[0.0, 0.0],
+                metadata={},
+            )
+        assert str(block.value) == str(per_row.value)
+
+    def test_width_mismatch_raises_what_the_constructor_raises(self):
+        values = np.ones((2, 3))
+        with pytest.raises(ValidationError) as per_row:
+            FeatureAttribution(["a", "b"], values[0])
+        with pytest.raises(ValidationError) as block:
+            FeatureAttribution.fan_out(
+                ["a", "b"], values, base_values=0.0, predictions=[0.0, 0.0],
+                metadata={},
+            )
+        assert str(block.value) == str(per_row.value)
+
+    def test_results_share_no_mutable_list_or_dict(self):
+        names = ["a", "b"]
+        shared = {"method": "m"}
+        results = FeatureAttribution.fan_out(
+            names, np.ones((3, 2)), base_values=0.0,
+            predictions=[0.0, 0.0, 0.0], metadata=shared,
+        )
+        lists = [r.feature_names for r in results] + [names]
+        dicts = [r.metadata for r in results] + [shared]
+        assert len({id(x) for x in lists}) == len(lists)
+        assert len({id(x) for x in dicts}) == len(dicts)
+        results[0].metadata["extra"] = 1
+        results[0].feature_names.append("c")
+        assert "extra" not in results[1].metadata and "extra" not in shared
+        assert results[1].feature_names == ["a", "b"] == names

@@ -4,6 +4,7 @@ import pytest
 from xaidb.exceptions import ValidationError
 from xaidb.explainers import predict_positive_proba
 from xaidb.rules import AnchorsExplainer
+from xaidb.rules import anchors as anchors_module
 from xaidb.rules.anchors import kl_bernoulli, kl_lower_bound, kl_upper_bound
 
 
@@ -104,3 +105,52 @@ class TestAnchorsExplainer:
         names = set(income.dataset.feature_names)
         for predicate in anchor.predicates:
             assert any(name in predicate for name in names)
+
+
+class _UnmemoizedBounds:
+    """Recomputes every bound: the search before the per-search table."""
+
+    def __init__(self, beta):
+        self.beta = beta
+
+    def lower(self, hits, n):
+        return kl_lower_bound(hits / n if n else 0.0, n, self.beta)
+
+    def upper(self, hits, n):
+        return kl_upper_bound(hits / n if n else 0.0, n, self.beta)
+
+
+@pytest.mark.parametrize("selection", ["kl_lucb", "fixed"])
+def test_bound_table_does_not_change_anchors(
+    income, income_forest, monkeypatch, selection
+):
+    """Memoising the KL bounds by ``(hits, n)`` leaves every anchor —
+    predicates, precision, coverage, samples used — as the search that
+    recomputes each bound finds it."""
+    explainer = AnchorsExplainer(
+        predict_positive_proba(income_forest),
+        income.dataset,
+        batch_size=32,
+        max_samples_per_candidate=300,
+        max_anchor_size=3,
+        candidate_selection=selection,
+    )
+    instances = income.dataset.X[:4]
+    seeds = [0, 1, 2, 3, 4]
+
+    def search():
+        return [
+            explainer.explain(x, random_state=seed)
+            for x in instances
+            for seed in seeds
+        ]
+
+    memoized = search()
+    monkeypatch.setattr(anchors_module, "_BoundTable", _UnmemoizedBounds)
+    reference = search()
+    for got, want in zip(memoized, reference):
+        assert got.predicates == want.predicates
+        assert got.feature_indices == want.feature_indices
+        assert got.precision == want.precision
+        assert got.coverage == want.coverage
+        assert got.n_samples_used == want.n_samples_used

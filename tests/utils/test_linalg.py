@@ -8,6 +8,7 @@ from xaidb.utils.linalg import (
     logsumexp,
     sigmoid,
     solve_psd,
+    solve_psd_batched,
 )
 
 
@@ -31,6 +32,25 @@ class TestSolvePsd:
         rhs = np.asarray([2.0, 2.0])
         x = solve_psd(m, rhs)
         assert np.allclose(m @ x, rhs, atol=1e-8)
+
+
+class TestSolvePsdBatched:
+    @pytest.mark.parametrize("m", [1, 2, 6, 9])
+    def test_rows_are_bitwise_solve_psd(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(12, 40, m))
+        matrices = a.transpose(0, 2, 1) @ a + 1e-3 * np.eye(m)
+        rhs = rng.normal(size=(12, m))
+        got = solve_psd_batched(matrices, rhs)
+        for b in range(12):
+            assert got[b].tobytes() == solve_psd(matrices[b], rhs[b]).tobytes()
+
+    def test_a_singular_system_takes_the_lstsq_fallback(self):
+        matrices = np.stack([np.eye(2) * 2.0, np.ones((2, 2))])
+        rhs = np.asarray([[1.0, 3.0], [2.0, 2.0]])
+        got = solve_psd_batched(matrices, rhs)
+        for b in range(2):
+            assert got[b].tobytes() == solve_psd(matrices[b], rhs[b]).tobytes()
 
 
 class TestConjugateGradient:
