@@ -4,7 +4,7 @@ Reproduced shape: perturbation explainers are *model-evaluation-bound*
 (the tutorial's central cost claim), so the rows/s of the models under
 explanation is the system's throughput ceiling.  The seed implementation
 descended trees one Python ``while`` loop per row
-(:meth:`TreeStructure.apply_row`); the frontier-traversal kernels
+(:meth:`TreeStructure.apply_row`); the fixed-depth descent kernels
 (:mod:`xaidb.models.tree_kernels`) replace that with a handful of
 vectorized steps over a stacked node arena:
 

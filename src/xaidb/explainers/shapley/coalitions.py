@@ -16,6 +16,12 @@ Designs built from a non-reproducible ``random_state`` (a live
 ``Generator``, or ``None``) are returned uncached: caching them would
 freeze one draw of a stream the caller expects to advance.
 
+A sampled design promises a distribution, not a random stream (DESIGN.md,
+"KernelSHAP design contract"): sizes follow the kernel mass, subsets of
+one size are uniform, masks come in complement pairs.  It is drawn with
+two generator calls per design: the sizes, then one key matrix whose
+ranks pick every pair's subset.
+
 The module also hosts :func:`sample_uniform_masks`, the shared
 mask-matrix sampler the vectorized Banzhaf estimator draws from (one
 ``(n_samples, n_players)`` block whose rows reproduce the historical
@@ -26,6 +32,7 @@ generator consumes the same stream in the same order).
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -72,32 +79,46 @@ def _enumerated_design(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(masks), np.asarray(weights)
 
 
+@lru_cache(maxsize=_MAX_ENTRIES)
+def _size_distribution(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coalition sizes ``1 .. d-1`` and their draw probabilities, each
+    proportional to the *total* Shapley-kernel mass of that size.
+    Read-only; computed once per ``d``."""
+    sizes = np.arange(1, d)
+    mass = np.asarray(
+        [shapley_kernel_weight(int(s), d) * comb(d, int(s)) for s in sizes]
+    )
+    probabilities = mass / mass.sum()
+    sizes.setflags(write=False)
+    probabilities.setflags(write=False)
+    return sizes, probabilities
+
+
 def _sampled_design(
     d: int, budget: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Size-stratified paired sampling from the kernel distribution.
 
     Sizes are drawn with probability proportional to the *total* kernel
-    mass of that size; each sampled mask is paired with its complement.
-    Duplicate draws are aggregated — a mask sampled ``k`` times enters
-    the design once with weight ``k``, which solves the same WLS normal
-    equations as ``k`` unit-weight copies while keeping the mask set
-    unique (so downstream caches dedupe cleanly).
+    mass of that size (one ``rng.choice`` call); then one
+    ``rng.random((n_pairs, d))`` key matrix picks every pair's subset
+    at once: a pair of size ``k`` takes the ``k`` features with the
+    smallest keys (``rank < k``, ranks from a double ``argsort``).
+    i.i.d. keys rank as a uniform permutation, so each size-``k``
+    subset is equally likely.  Each sampled mask is paired with its
+    complement.  Duplicate draws are aggregated
+    — a mask sampled ``k`` times enters the design once with weight
+    ``k``, which solves the same WLS normal equations as ``k``
+    unit-weight copies while keeping the mask set unique (so downstream
+    caches dedupe cleanly).
     """
-    sizes = np.arange(1, d)
-    mass = np.asarray(
-        [shapley_kernel_weight(int(s), d) * comb(d, int(s)) for s in sizes]
-    )
-    probabilities = mass / mass.sum()
+    sizes, probabilities = _size_distribution(d)
     n_pairs = budget // 2
-    masks = np.zeros((2 * n_pairs, d), dtype=bool)
     drawn_sizes = rng.choice(sizes, size=n_pairs, p=probabilities)
-    chosen = [
-        rng.choice(d, size=int(size), replace=False) for size in drawn_sizes
-    ]
-    pair_rows = np.repeat(np.arange(0, 2 * n_pairs, 2), drawn_sizes)
-    masks[pair_rows, np.concatenate(chosen)] = True
-    masks[1::2] = ~masks[0::2]
+    ranks = rng.random((n_pairs, d)).argsort(axis=1).argsort(axis=1)
+    masks = np.empty((2 * n_pairs, d), dtype=bool)
+    np.less(ranks, drawn_sizes[:, None], out=masks[0::2])
+    np.logical_not(masks[0::2], out=masks[1::2])
     unique_masks, counts = _unique_rows(masks)
     return unique_masks, counts.astype(float)
 

@@ -2,8 +2,8 @@
 
 Prediction runs on a stacked :class:`~xaidb.models.tree_kernels.
 EnsembleKernel`: all trees are packed into padded ``(n_trees,
-max_nodes)`` tensors once per fit, so one level-synchronous traversal
-serves the whole forest and the per-tree class-code realignment is a
+max_nodes)`` tensors once per fit, so one fixed-depth descent serves
+the whole forest and the per-tree class-code realignment is a
 precomputed index map instead of a Python loop per call.
 """
 

@@ -95,9 +95,9 @@ class TreeStructure:
         return kernel
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index for every row of ``X`` (level-synchronous frontier
-        traversal — one vectorized step per depth level instead of one
-        Python loop per row)."""
+        """Leaf index for every row of ``X`` (fixed-depth descent — one
+        vectorized step per depth level instead of one Python loop per
+        row)."""
         X = np.asarray(X, dtype=float)
         return self.kernel.apply(X)
 

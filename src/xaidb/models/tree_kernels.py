@@ -1,71 +1,126 @@
-"""Batched tree-inference kernels (level-synchronous frontier traversal).
+"""Batched tree-inference kernels (fixed-depth descent).
 
 Every perturbation explainer in the survey is model-evaluation-bound: a
 single KernelSHAP or Anchors call pushes 10^4-10^5 synthetic rows
 through ``predict_proba``.  The seed implementation walked one Python
 ``while`` loop per row (:meth:`TreeStructure.apply_row`), so inference
 cost was interpreter overhead, not arithmetic.  The kernels here replace
-the n-row Python loop with ~``max_depth`` vectorized frontier steps —
-``node = where(X[rows, feature[node]] <= threshold[node], left[node],
-right[node])`` — over an *active set* that shrinks as rows land on
-leaves, so total work is the sum of root-to-leaf path lengths, paid in
-numpy instead of bytecode:
+the n-row Python loop with ``depth`` vectorized steps over every
+(tree, row) pair at once.
 
-- :class:`TreeKernel` descends all rows of one tree simultaneously;
+At pack time each leaf becomes a fixed point of the step: its threshold
+is ``+inf``, its split feature ``0`` and both its children point to
+itself, and the pack's maximum depth is computed once.  A step is then
+
+``node = children[2 * node + ~(Xflat[base + feature[node]] <=
+threshold[node])]``
+
+over one C-ordered ``X.ravel()`` (``base`` is the row's offset in it)
+and the interleaved ``(left, right)`` child array.  A pair that lands
+on a leaf early keeps stepping in place (``x <= +inf`` holds, and ``NaN`` goes right, to the
+same leaf) until ``depth`` steps have passed.
+
+- :class:`TreeKernel` descends all rows of one tree;
 - :class:`EnsembleKernel` stacks every tree of a forest/GBM into one
   flat node arena (per-tree arrays concatenated with index offsets —
   the dense equivalent of padded ``(n_trees, max_nodes)`` tensors,
-  without the padding waste), so a single traversal serves the whole
+  without the padding waste), so a single descent serves the whole
   ensemble, and the per-tree class-code realignment the forest
   previously re-derived with a Python loop per call is a precomputed
   scatter into the stacked value tensor.
 
+Both keep the ``_LEAF``-sentinel ``left``/``right``/``is_internal``
+arrays the TreeSHAP plans read; the self-looping step arrays sit beside
+them.
+
 Exactness contract (enforced by ``tests/models/test_tree_kernels.py``):
 leaf routing is **bitwise identical** to the row-wise reference on
 threshold ties (both use ``<=``), NaN inputs (``NaN <= t`` is False in
-both, routing right) and single-node trees (zero traversal steps), and
-accumulated probabilities/raw scores match the sequential reference
-because per-tree contributions are summed in the same tree order.
+both, routing right) and single-node trees (a pack of them has depth 0
+and takes no step), and accumulated probabilities/raw scores match the
+sequential reference because per-tree contributions are summed in the
+same tree order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from xaidb.exceptions import ValidationError
+
 __all__ = ["TreeKernel", "EnsembleKernel"]
 
 _LEAF = -1
 
 
-def _traverse(
-    X: np.ndarray,
-    row_of: np.ndarray,
-    node: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    is_internal: np.ndarray,
-) -> np.ndarray:
-    """Advance every active (row, node) pair one level per iteration.
+class _Descent:
+    """The self-looping step arrays of a node arena and its depth.
 
-    ``node`` is mutated in place and returned; entries whose node is a
-    leaf drop out of the active set, so each iteration only touches
-    rows still descending.
+    ``left``/``right`` are arena-global child pointers with ``_LEAF``
+    at leaves; ``roots`` are the arena ids the descent starts from, one
+    per tree.
     """
-    active = np.flatnonzero(is_internal[node])
-    while active.size:
-        current = node[active]
-        go_left = (
-            X[row_of[active], feature[current]] <= threshold[current]
-        )
-        advanced = np.where(go_left, left[current], right[current])
-        node[active] = advanced
-        active = active[is_internal[advanced]]
-    return node
+
+    def _pack_steps(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        roots: np.ndarray,
+    ) -> None:
+        self.left = left
+        self.right = right
+        self.feature = feature
+        self.threshold = threshold
+        self.is_internal = left != _LEAF
+        self.roots = np.asarray(roots, dtype=np.intp)
+        internal = self.is_internal
+        nodes = np.arange(left.shape[0], dtype=np.intp)
+        #: interleaved ``(left, right)`` children, leaves pointing to
+        #: themselves: ``step_children[2 * node + goes_right]``
+        self.step_children = np.stack(
+            [np.where(internal, left, nodes), np.where(internal, right, nodes)],
+            axis=1,
+        ).ravel()
+        self.step_feature = np.where(internal, feature, 0)
+        self.step_threshold = np.where(internal, threshold, np.inf)
+        #: the narrowest ``X`` the splits can read
+        self.n_split_features = int(feature[internal].max(initial=-1)) + 1
+        depth = 0
+        level = self.roots[internal[self.roots]]
+        while level.size:
+            depth += 1
+            level = np.concatenate([left[level], right[level]])
+            level = level[internal[level]]
+        #: steps every (tree, row) pair takes: the deepest leaf's depth
+        self.depth = depth
+
+    def _descend(self, X: np.ndarray) -> np.ndarray:
+        """Leaf per (tree, row) pair, tree-major: shape ``(n_trees *
+        n_rows,)``.  Every pair starts at its tree's root and steps
+        ``depth`` times."""
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] < self.n_split_features:
+            raise ValidationError(
+                f"X must be 2-D with at least {self.n_split_features} "
+                f"columns; got shape {X.shape}"
+            )
+        n, d = X.shape
+        flat = X.ravel()
+        node = np.repeat(self.roots, n)
+        # each pair's row offset into ``flat``
+        base = np.tile(np.arange(n, dtype=np.intp) * d, self.roots.size)
+        children = self.step_children
+        feature = self.step_feature
+        threshold = self.step_threshold
+        for _ in range(self.depth):
+            goes_left = flat[base + feature[node]] <= threshold[node]
+            node = children[2 * node + ~goes_left]
+        return node
 
 
-class TreeKernel:
+class TreeKernel(_Descent):
     """Vectorized ``apply`` for one :class:`~xaidb.models.tree.
     TreeStructure`.
 
@@ -77,39 +132,27 @@ class TreeKernel:
     """
 
     def __init__(self, tree) -> None:
-        self.left = np.asarray(tree.children_left, dtype=np.intp)
-        self.right = np.asarray(tree.children_right, dtype=np.intp)
-        self.feature = np.asarray(tree.feature, dtype=np.intp)
-        self.threshold = np.asarray(tree.threshold, dtype=float)
-        self.is_internal = self.left != _LEAF
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index for every row of ``X`` — the whole frontier at
-        once."""
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.intp)
-        return _traverse(
-            X,
-            np.arange(n),
-            node,
-            self.left,
-            self.right,
-            self.feature,
-            self.threshold,
-            self.is_internal,
+        self._pack_steps(
+            np.asarray(tree.children_left, dtype=np.intp),
+            np.asarray(tree.children_right, dtype=np.intp),
+            np.asarray(tree.feature, dtype=np.intp),
+            np.asarray(tree.threshold, dtype=float),
+            np.zeros(1, dtype=np.intp),
         )
 
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index for every row of ``X``."""
+        return self._descend(X)
 
-class EnsembleKernel:
-    """Stacked traversal over all trees of a forest/GBM at once.
+
+class EnsembleKernel(_Descent):
+    """Stacked descent over all trees of a forest/GBM at once.
 
     The per-tree flat arrays are concatenated into one node arena with
     per-tree index offsets (child pointers rebased at pack time), and
-    the frontier state is one flat ``(n_trees * n_rows,)`` node vector:
-    a single vectorized step advances every row in every tree, and
-    (tree, row) pairs retire from the active set the moment they reach
-    their leaf.
+    the descent state is one flat ``(n_trees * n_rows,)`` node vector:
+    a single vectorized step advances every row in every tree, and the
+    pack's depth — its deepest tree's — is the number of steps.
 
     ``values`` is packed per tree by the factory helpers:
 
@@ -154,11 +197,13 @@ class EnsembleKernel:
             right.append(np.where(internal, child_right + offset, _LEAF))
             feature.append(np.asarray(tree.feature, dtype=np.intp))
             threshold.append(np.asarray(tree.threshold, dtype=float))
-        self.left = np.concatenate(left)
-        self.right = np.concatenate(right)
-        self.feature = np.concatenate(feature)
-        self.threshold = np.concatenate(threshold)
-        self.is_internal = self.left != _LEAF
+        self._pack_steps(
+            np.concatenate(left),
+            np.concatenate(right),
+            np.concatenate(feature),
+            np.concatenate(threshold),
+            offsets.astype(np.intp),
+        )
         self.values = values
 
     # ------------------------------------------------------------------
@@ -213,22 +258,7 @@ class EnsembleKernel:
         """Arena-global leaf index per (tree, row): shape
         ``(n_trees, n_rows)``.  Subtract :attr:`offsets` per tree to
         recover tree-local node ids."""
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        # every (tree, row) pair starts at that tree's root
-        node = np.repeat(self.offsets.astype(np.intp), n)
-        row_of = np.tile(np.arange(n), self.n_trees)
-        _traverse(
-            X,
-            row_of,
-            node,
-            self.left,
-            self.right,
-            self.feature,
-            self.threshold,
-            self.is_internal,
-        )
-        return node.reshape(self.n_trees, n)
+        return self._descend(X).reshape(self.n_trees, -1)
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Per-tree leaf values for every row.

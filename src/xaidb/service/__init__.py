@@ -40,6 +40,7 @@ from xaidb.service.types import (
     DeadlineExceededError,
     ExplainRequest,
     ExplainResponse,
+    InstanceWidthError,
     LoadShedError,
     ServiceError,
     UnknownExplainerError,
@@ -55,6 +56,7 @@ __all__ = [
     "ExplainRequest",
     "ExplainResponse",
     "ExplanationServer",
+    "InstanceWidthError",
     "LoadResult",
     "LoadShedError",
     "MicroBatcher",

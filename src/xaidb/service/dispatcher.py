@@ -66,13 +66,17 @@ class ModelEntry:
     """One served model: its prediction function plus the side inputs
     different explainer families need (training data for LIME/Anchors
     perturbation statistics, background rows for KernelSHAP, the fitted
-    model object itself for TreeSHAP's structure traversal)."""
+    model object itself for TreeSHAP's structure traversal).
+
+    ``n_features`` is the instance width the model takes (``None`` when
+    nothing registered with it tells), checked at admission."""
 
     digest: str
     predict_fn: PredictFn
     dataset: Dataset | None = None
     background: np.ndarray | None = None
     model: Any | None = None
+    n_features: int | None = None
 
 
 # ----------------------------------------------------------- built-ins
@@ -220,18 +224,24 @@ class Dispatcher:
 
         ``model`` is the fitted model object itself — required only by
         structure-walking backends (``tree_shap``); prediction-function
-        backends never touch it.
+        backends never touch it.  The entry's ``n_features`` comes from
+        ``model.n_features_in_``, else the background's width, else the
+        dataset's.
         """
+        if background is not None:
+            background = np.asarray(background, dtype=float)
+        n_features = getattr(model, "n_features_in_", None)
+        if n_features is None and background is not None:
+            n_features = background.shape[1]
+        if n_features is None and dataset is not None:
+            n_features = dataset.n_features
         entry = ModelEntry(
             digest=digest,
             predict_fn=predict_fn,
             dataset=dataset,
-            background=(
-                None
-                if background is None
-                else np.asarray(background, dtype=float)
-            ),
+            background=background,
             model=model,
+            n_features=None if n_features is None else int(n_features),
         )
         self._models[digest] = entry
         self._drop_backends(lambda key: key[0] == digest)
@@ -250,6 +260,12 @@ class Dispatcher:
     @property
     def models(self) -> tuple[str, ...]:
         return tuple(self._models)
+
+    def n_features(self, model: str) -> int | None:
+        """The instance width ``model`` takes, or ``None`` when it is
+        unknown (unregistered digests fail later, in dispatch)."""
+        entry = self._models.get(model)
+        return None if entry is None else entry.n_features
 
     @property
     def explainers(self) -> tuple[str, ...]:

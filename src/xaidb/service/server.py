@@ -35,6 +35,7 @@ from xaidb.service.types import (
     DeadlineExceededError,
     ExplainRequest,
     ExplainResponse,
+    InstanceWidthError,
     ServiceError,
 )
 
@@ -143,6 +144,10 @@ class ExplanationServer:
         ------
         LoadShedError
             Immediately, when the queue is at ``max_queue_depth``.
+        InstanceWidthError
+            Immediately, when the instance's width differs from the
+            model's registered ``n_features``; the request counts as
+            received and failed.
         DeadlineExceededError
             When ``request.deadline_s`` elapses first.
         ServiceError
@@ -153,6 +158,14 @@ class ExplanationServer:
             raise ServiceError("server is not running; call start()")
         if request.deadline_s is not None and request.deadline_s <= 0:
             raise ValidationError("deadline_s must be > 0 or None")
+        width = self.dispatcher.n_features(request.model)
+        if width is not None and request.instance.shape[0] != width:
+            self.stats.n_received += 1
+            self.stats.n_failed += 1
+            raise InstanceWidthError(
+                f"instance has {request.instance.shape[0]} features; "
+                f"model {request.model!r} takes {width}"
+            )
         loop = asyncio.get_running_loop()
         entry = PendingRequest(
             request=request,
@@ -202,22 +215,35 @@ class ExplanationServer:
 
     # ------------------------------------------------------------- batching
     async def _serve(self) -> None:
-        while True:
-            if len(self._dispatch_tasks) >= self.max_inflight_batches:
-                # backpressure: leave requests in the bounded queue
-                # (where overflow sheds) until a dispatch slot frees up
-                await asyncio.wait(
-                    tuple(self._dispatch_tasks),
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                continue
-            window = await self.batcher.next_batch()
-            for (key, _width), entries in group_by_key(window).items():
-                task = asyncio.create_task(
-                    self._dispatch_group(key, entries)
-                )
-                self._dispatch_tasks.add(task)
-                task.add_done_callback(self._dispatch_tasks.discard)
+        """The batching loop.  If it raises, every request it holds or
+        has queued fails with a typed error and :attr:`running` turns
+        false, instead of the waiters hanging on futures nothing will
+        resolve."""
+        window: list[PendingRequest] = []
+        try:
+            while True:
+                if len(self._dispatch_tasks) >= self.max_inflight_batches:
+                    # backpressure: leave requests in the bounded queue
+                    # (where overflow sheds) until a dispatch slot frees
+                    await asyncio.wait(
+                        tuple(self._dispatch_tasks),
+                        return_when=asyncio.FIRST_COMPLETED,
+                    )
+                    continue
+                window = await self.batcher.next_batch()
+                for (key, _width), entries in group_by_key(window).items():
+                    task = asyncio.create_task(
+                        self._dispatch_group(key, entries)
+                    )
+                    self._dispatch_tasks.add(task)
+                    task.add_done_callback(self._dispatch_tasks.discard)
+                window = []
+        # xailint: disable=XDB005 (supervision boundary: whatever kills the batching loop must reach every waiter as a typed error)
+        except Exception as exc:
+            self.stats.serve_error = repr(exc)
+            error = ServiceError(f"batching loop failed: {exc!r}")
+            error.__cause__ = exc  # every waiter sees the traceback
+            self._fail_group(window + self.batcher.drain_nowait(), error)
 
     async def _dispatch_group(
         self,

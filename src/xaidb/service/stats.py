@@ -34,8 +34,12 @@ class ServiceStats:
     Attributes
     ----------
     n_received / n_completed / n_failed:
-        Requests accepted into the queue, answered successfully, and
-        failed in dispatch (backend error, unknown model/explainer).
+        Requests submitted to a running server, answered successfully,
+        and failed (backend error, unknown model/explainer, a dead
+        batching loop).  A request rejected at admission for its
+        instance width counts as received and failed, so ``n_received
+        == n_completed + n_failed + n_deadline_expired`` once the
+        server is idle.
     n_shed:
         Requests rejected at the door because the queue was full.
     n_deadline_expired:
@@ -50,6 +54,9 @@ class ServiceStats:
     runtime:
         The composed :class:`~xaidb.runtime.stats.EvalStats` — every
         dispatched batch's evaluation ledger merged into one.
+    serve_error:
+        ``repr`` of the exception that ended the batching loop, or
+        ``None`` while it has not died.
     """
 
     n_received: int = 0
@@ -61,6 +68,7 @@ class ServiceStats:
     queue_depth_peak: int = 0
     batch_sizes: dict[int, int] = field(default_factory=dict)
     runtime: EvalStats = field(default_factory=EvalStats)
+    serve_error: str | None = None
     max_latency_samples: int = DEFAULT_MAX_LATENCY_SAMPLES
     _latencies: list[float] = field(default_factory=list, repr=False)
     _ring_next: int = field(default=0, repr=False)
@@ -145,6 +153,7 @@ class ServiceStats:
             "p95_s": float(_nearest_rank(ordered, 95.0)),
             "p99_s": float(_nearest_rank(ordered, 99.0)),
             "runtime": self.runtime.as_metadata(),
+            "serve_error": self.serve_error,
         }
 
 

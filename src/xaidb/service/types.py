@@ -33,6 +33,7 @@ __all__ = [
     "DeadlineExceededError",
     "UnknownModelError",
     "UnknownExplainerError",
+    "InstanceWidthError",
     "config_digest",
     "ExplainRequest",
     "ExplainResponse",
@@ -60,6 +61,11 @@ class UnknownModelError(ServiceError):
 
 class UnknownExplainerError(ServiceError):
     """The request named an explainer the dispatcher has no factory for."""
+
+
+class InstanceWidthError(ServiceError):
+    """The request's instance has a different feature count than its
+    model; rejected at admission, before queueing."""
 
 
 def config_digest(config: dict[str, Any]) -> str:

@@ -4,7 +4,8 @@ pipeline: a fresh :class:`MarginalImputationGame` per instance, direct
 single-RHS ``solve_psd`` per instance.  The stacked pipeline behind
 ``KernelShapExplainer.explain``/``explain_batch`` must match it bitwise.
 :func:`sampled_design_reference` is the sampled coalition design drawn
-pair by pair and deduplicated with ``np.unique(axis=0)``.
+pair by pair (each pair's subset from its own row of keys) and
+deduplicated with ``np.unique(axis=0)``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ def kernel_shap_reference(explainer, instances, seeds):
 
 
 def sampled_design_reference(d, budget, rng):
-    """Size-stratified paired masks, one pair at a time, aggregated with
-    ``np.unique(masks, axis=0, return_counts=True)``."""
+    """Size-stratified paired masks, one pair at a time: after the size
+    draw, pair ``p`` of size ``k`` takes the ``k`` features with the
+    smallest keys in row ``p`` of one ``rng.random((n_pairs, d))`` block
+    (which holds the same values as ``n_pairs`` sequential
+    ``rng.random(d)`` draws).  Aggregated with ``np.unique(masks,
+    axis=0, return_counts=True)``."""
     sizes = np.arange(1, d)
     mass = np.asarray(
         [shapley_kernel_weight(int(s), d) * comb(d, int(s)) for s in sizes]
@@ -69,7 +74,8 @@ def sampled_design_reference(d, budget, rng):
     masks = np.zeros((2 * n_pairs, d), dtype=bool)
     drawn_sizes = rng.choice(sizes, size=n_pairs, p=probabilities)
     for pair, size in enumerate(drawn_sizes):
-        chosen = rng.choice(d, size=int(size), replace=False)
+        keys = rng.random(d)
+        chosen = np.argsort(keys)[: int(size)]
         masks[2 * pair, chosen] = True
         masks[2 * pair + 1] = ~masks[2 * pair]
     unique_masks, counts = np.unique(masks, axis=0, return_counts=True)

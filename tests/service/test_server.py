@@ -34,6 +34,7 @@ from xaidb.service import (
     Dispatcher,
     ExplainRequest,
     ExplanationServer,
+    InstanceWidthError,
     LoadShedError,
     ServiceError,
     UnknownExplainerError,
@@ -531,6 +532,110 @@ def test_stop_fails_the_open_batching_window():
     assert stats.n_received == (
         stats.n_completed + stats.n_failed + stats.n_deadline_expired
     )
+
+
+# ------------------------------------------------ serve-loop supervision
+def test_dead_batching_loop_fails_every_waiter(monkeypatch):
+    """A fault in the batching loop (here ``group_by_key``) must fail
+    the window it was holding and everything still queued with a typed
+    error, turn ``running`` false and record the failure — not leave
+    the callers awaiting futures nothing will resolve."""
+    import xaidb.service.server as server_module
+
+    def broken_group_by_key(window):
+        raise RuntimeError("grouping bug")
+
+    monkeypatch.setattr(server_module, "group_by_key", broken_group_by_key)
+    dispatcher = _slow_backend_dispatcher(sleep_s=0.0)
+
+    async def run():
+        server = ExplanationServer(
+            dispatcher, max_batch_size=2, max_wait_s=0.05
+        )
+        await server.start()
+        tasks = [
+            asyncio.create_task(
+                server.submit(
+                    ExplainRequest(
+                        model="m", explainer="slow", instance=np.zeros(2)
+                    )
+                )
+            )
+            for _ in range(5)
+        ]
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), timeout=5.0
+        )
+        running = server.running
+        await server.stop()
+        return outcomes, running, server.stats
+
+    outcomes, running, stats = asyncio.run(run())
+    assert all(isinstance(o, ServiceError) for o in outcomes)
+    assert all("grouping bug" in str(o) for o in outcomes)
+    assert not running
+    assert "grouping bug" in stats.serve_error
+    assert stats.as_metadata()["serve_error"] == stats.serve_error
+    assert stats.n_received == 5
+    assert stats.n_failed == 5
+    assert stats.n_received == (
+        stats.n_completed + stats.n_failed + stats.n_deadline_expired
+    )
+
+
+def test_wrong_width_is_rejected_at_admission(served):
+    """A request whose instance width differs from the registered
+    model's fails at ``submit``, before it is queued — it does not wait
+    out a batching window to fail in dispatch — and counts as received
+    and failed."""
+    dispatcher, dataset, _ = served
+
+    async def run():
+        async with ExplanationServer(dispatcher, max_wait_s=5.0) as server:
+            started = time.perf_counter()
+            with pytest.raises(InstanceWidthError, match="takes"):
+                await asyncio.wait_for(
+                    server.submit(
+                        ExplainRequest(
+                            model="forest",
+                            explainer="kernel_shap",
+                            instance=dataset.X[0][:-1],
+                            config=SHAP_CONFIG,
+                        )
+                    ),
+                    timeout=1.0,
+                )
+            elapsed = time.perf_counter() - started
+            depth = server.batcher.depth
+            return elapsed, depth, server.stats
+
+    elapsed, depth, stats = asyncio.run(run())
+    assert elapsed < 1.0
+    assert depth == 0
+    assert stats.n_received == 1 and stats.n_failed == 1
+    assert stats.n_batches == 0
+    assert stats.n_received == (
+        stats.n_completed + stats.n_failed + stats.n_deadline_expired
+    )
+
+
+def test_model_width_comes_from_model_then_background_then_dataset(served):
+    _, dataset, predict_fn = served
+    model = RandomForestClassifier(n_estimators=2, max_depth=2).fit(
+        dataset.X, dataset.y
+    )
+    dispatcher = Dispatcher()
+    d = dataset.n_features
+    assert dispatcher.register_model(
+        "a", predict_fn, background=np.zeros((2, 3)), model=model
+    ).n_features == d
+    assert dispatcher.register_model(
+        "b", predict_fn, background=np.zeros((2, 3)), dataset=dataset
+    ).n_features == 3
+    assert dispatcher.register_model("c", predict_fn, dataset=dataset).n_features == d
+    assert dispatcher.register_model("d", predict_fn).n_features is None
+    assert dispatcher.n_features("c") == d
+    assert dispatcher.n_features("unregistered") is None
 
 
 # ----------------------------------------------------- per-key dispatch locks

@@ -43,7 +43,10 @@ Runs, in order, stopping at the first failure:
    EXPERIMENTS.md), with ``--benchmark-disable``: each runs its workload
    once and asserts the claim it reproduces (LIME fidelity, TreeSHAP's
    polynomial runtime, the Shapley axioms, ...), so a rewrite under an
-   explainer cannot break a claim silently.
+   explainer cannot break a claim silently;
+9. the worked examples (``examples/*.py``), each run as a script: a
+   non-zero exit fails the step, so an API change that breaks a
+   documented workflow cannot land silently.
 
 Usage::
 
@@ -143,6 +146,9 @@ CLAIM_BENCHES = sorted(
     for path in (REPO_ROOT / "benchmarks").glob(pattern)
 )
 
+#: The worked examples, each run as its own script.
+EXAMPLES = sorted(str(path) for path in (REPO_ROOT / "examples").glob("*.py"))
+
 STEPS: list[tuple[str, list[str]]] = [
     ("xailint", [sys.executable, str(REPO_ROOT / "tools" / "xailint.py")]),
     ("tier-1 tests", [sys.executable, "-m", "pytest", "-q", "tests"]),
@@ -215,7 +221,7 @@ STEPS: list[tuple[str, list[str]]] = [
         [sys.executable, "-m", "pytest", "-q", "--benchmark-disable"]
         + CLAIM_BENCHES,
     ),
-]
+] + [(f"example {Path(path).name}", [sys.executable, path]) for path in EXAMPLES]
 
 #: The A10 smoke shrinks the workload (the >= 10x bar applies at the
 #: full 10^4 rows; the bench relaxes it below that — see its module
