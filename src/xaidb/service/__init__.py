@@ -9,19 +9,19 @@ serving side (``asyncio``):
 - :class:`ExplainRequest` / :class:`ExplainResponse` — the contract,
   with typed rejections (:class:`LoadShedError`,
   :class:`DeadlineExceededError`);
-- :class:`MicroBatcher` — bounded admission queue + batching-window
-  drain; concurrent requests sharing a ``(model, explainer, config)``
-  key coalesce into one batched explainer call;
+- :class:`MicroBatcher` — bounded admission queue + natural-batch
+  drain (whatever is queued when the server wakes, no timer);
+  concurrent requests sharing a ``(model, explainer, config)`` key
+  coalesce into one batched explainer call;
 - :class:`Dispatcher` — model/explainer registries and the per-key
   backend cache that executes coalesced batches, bitwise identical to
   the per-request serial path;
 - :class:`ExplanationServer` — the asyncio front-end tying the three
   together, with per-request deadlines and load shedding;
 - :class:`ServiceStats` — latency percentiles (p50/p95/p99), queue
-  depth, batch-size histogram, shed/deadline counts, composed with the
-  evaluation ledger (:class:`~xaidb.runtime.EvalStats`);
-- :func:`run_closed_loop` / :class:`WorkloadItem` — the closed-loop
-  load generator behind benchmark A12.
+  depth, batch-size histogram, shed/deadline/cancellation counts, the
+  recent dispatch failures, composed with the evaluation ledger
+  (:class:`~xaidb.runtime.EvalStats`).
 
 See ``docs/SERVING.md`` for the architecture tour.
 """
@@ -33,7 +33,6 @@ from xaidb.service.dispatcher import (
     Dispatcher,
     ModelEntry,
 )
-from xaidb.service.loadgen import LoadResult, WorkloadItem, run_closed_loop
 from xaidb.service.server import ExplanationServer
 from xaidb.service.stats import ServiceStats
 from xaidb.service.types import (
@@ -57,7 +56,6 @@ __all__ = [
     "ExplainResponse",
     "ExplanationServer",
     "InstanceWidthError",
-    "LoadResult",
     "LoadShedError",
     "MicroBatcher",
     "ModelEntry",
@@ -66,8 +64,6 @@ __all__ = [
     "ServiceStats",
     "UnknownExplainerError",
     "UnknownModelError",
-    "WorkloadItem",
     "config_digest",
     "group_by_key",
-    "run_closed_loop",
 ]

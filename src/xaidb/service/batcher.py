@@ -4,11 +4,13 @@ The admission and coalescing half of the server: requests enter a
 bounded :class:`asyncio.Queue` (overflow is *rejected*, never buffered —
 an overloaded explanation server must fail fast, not build an invisible
 latency bomb), and :meth:`MicroBatcher.next_batch` drains them in
-batching windows: wait for one request, then keep collecting until
-either ``max_batch_size`` requests arrived or ``max_wait_s`` elapsed.
-Grouping the drained window by :attr:`~xaidb.service.types.
+natural batches: wait for one request, then take whatever else is
+already queued, up to ``max_batch_size``.  There is no batching timer;
+requests that arrive while a batch is in flight queue up and form the
+next batch, so coalescing grows with load and costs nothing when idle.
+Grouping a drained batch by :attr:`~xaidb.service.types.
 ExplainRequest.batch_key` and instance width is the caller's job
-(:func:`group_by_key`), because one window may legitimately carry
+(:func:`group_by_key`), because one batch may legitimately carry
 several distinct workloads.
 """
 
@@ -43,7 +45,7 @@ class PendingRequest:
 
 
 class MicroBatcher:
-    """Bounded queue + batching-window drain.
+    """Bounded queue + natural-batch drain.
 
     Parameters
     ----------
@@ -51,12 +53,8 @@ class MicroBatcher:
         Admission bound; :meth:`put_nowait` raises
         :class:`~xaidb.service.types.LoadShedError` beyond it.
     max_batch_size:
-        Upper bound on requests per drained window (and therefore per
+        Upper bound on requests per drained batch (and therefore per
         dispatched batch).
-    max_wait_s:
-        How long the drain waits for stragglers after the first request
-        of a window arrives.  0 coalesces only requests that are
-        already queued — lowest latency, least batching.
     """
 
     def __init__(
@@ -64,23 +62,16 @@ class MicroBatcher:
         *,
         max_queue_depth: int = 256,
         max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
     ) -> None:
         if max_queue_depth < 1:
             raise ValidationError("max_queue_depth must be >= 1")
         if max_batch_size < 1:
             raise ValidationError("max_batch_size must be >= 1")
-        if max_wait_s < 0:
-            raise ValidationError("max_wait_s must be >= 0")
         self.max_queue_depth = max_queue_depth
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self._queue: asyncio.Queue[PendingRequest] = asyncio.Queue(
             maxsize=max_queue_depth
         )
-        #: Requests taken off the queue by a :meth:`next_batch` whose
-        #: window has not closed yet.
-        self._window: list[PendingRequest] = []
 
     # ------------------------------------------------------------------
     @property
@@ -100,44 +91,22 @@ class MicroBatcher:
             ) from None
 
     async def next_batch(self) -> list[PendingRequest]:
-        """Drain one batching window (at least one request).
+        """Drain one batch (at least one request).
 
-        Waits indefinitely for the first request, then keeps collecting
-        until the window closes (``max_wait_s`` after the first
-        request) or ``max_batch_size`` is reached.
+        Waits indefinitely for the first request, then takes the
+        requests already queued behind it, up to ``max_batch_size``, in
+        arrival order.  Nothing is awaited once the first request is
+        taken, so a cancelled drain never holds a request.
         """
-        first = await self._queue.get()
-        batch = [first]
-        if self.max_wait_s <= 0:
-            while (
-                len(batch) < self.max_batch_size and not self._queue.empty()
-            ):
-                batch.append(self._queue.get_nowait())
-            return batch
-        # the window stays open across awaits: hold it on the batcher,
-        # not only in this frame, so a shutdown that cancels the drain
-        # mid-window still finds it in drain_nowait()
-        self._window = batch
-        loop = asyncio.get_running_loop()
-        closes_at = loop.time() + self.max_wait_s
-        while len(batch) < self.max_batch_size:
-            remaining = closes_at - loop.time()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), remaining)
-                )
-            except asyncio.TimeoutError:
-                break
-        self._window = []
+        batch = [await self._queue.get()]
+        while len(batch) < self.max_batch_size and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
         return batch
 
     def drain_nowait(self) -> list[PendingRequest]:
-        """Remove and return the open batching window plus everything
-        still queued (shutdown path: the server fails these with a
-        typed error)."""
-        drained, self._window = self._window, []
+        """Remove and return everything still queued (shutdown path:
+        the server fails these with a typed error)."""
+        drained = []
         while not self._queue.empty():
             drained.append(self._queue.get_nowait())
         return drained
@@ -146,7 +115,7 @@ class MicroBatcher:
 def group_by_key(
     batch: list[PendingRequest],
 ) -> dict[tuple[tuple[str, str, str], int], list[PendingRequest]]:
-    """Split one drained window into dispatch groups keyed by
+    """Split one drained batch into dispatch groups keyed by
     ``(batch_key, instance width)``, preserving arrival order within
     each group.
 

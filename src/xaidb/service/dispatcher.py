@@ -8,7 +8,7 @@ pays explainer construction (quantile bins, perturbation statistics)
 once, not per request; every backend's batch entry point is seeded
 per instance, which keeps the batched results **bitwise identical** to
 the per-request serial path (asserted in ``tests/service/`` and by
-benchmark A12).
+xaibench's served workloads).
 
 Built-in explainer names: ``"lime"``, ``"kernel_shap"``, ``"anchors"``,
 ``"tree_shap"``.  Custom backends register via

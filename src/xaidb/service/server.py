@@ -3,14 +3,16 @@
 :class:`ExplanationServer` is the headless, high-throughput counterpart
 of the interactive explanation front-ends the paper surveys: requests
 enter the bounded queue (overflow is shed with a typed error), a
-batching loop drains them in small windows, coalesces requests sharing
-a ``(model, explainer, config)`` key into *one* batched explainer call
-(dispatched off-loop in a worker thread so the event loop keeps
-admitting traffic), and fans the per-instance results back out to each
-caller's future.  Per-request deadlines are enforced twice: expired
-requests are dropped *before* dispatch so the back-end never pays for
-work nobody is waiting on, and a caller stops waiting the moment its
-budget elapses regardless of where its request is.
+batching loop drains whatever is queued when it wakes (no batching
+timer: requests that arrive during a dispatch form the next batch),
+coalesces requests sharing a ``(model, explainer, config)`` key into
+*one* batched explainer call (dispatched off-loop in a worker thread so
+the event loop keeps admitting traffic), and fans the per-instance
+results back out to each caller's future.  Per-request deadlines are
+enforced twice: expired requests are dropped *before* dispatch so the
+back-end never pays for work nobody is waiting on, and a caller stops
+waiting the moment its budget elapses regardless of where its request
+is.
 
 The contract that makes coalescing safe: each request carries its own
 seed, and every backend's batch entry point reproduces the serial
@@ -52,9 +54,9 @@ class ExplanationServer:
     max_queue_depth:
         Admission bound; submissions beyond it raise
         :class:`~xaidb.service.types.LoadShedError`.
-    max_batch_size / max_wait_s:
-        Micro-batching knobs — see :class:`~xaidb.service.batcher.
-        MicroBatcher`.
+    max_batch_size:
+        Most requests one drained batch takes off the queue — see
+        :class:`~xaidb.service.batcher.MicroBatcher`.
     max_inflight_batches:
         Dispatch-side backpressure: the batching loop stops draining
         the queue while this many batches are in flight, so overload
@@ -77,7 +79,6 @@ class ExplanationServer:
         *,
         max_queue_depth: int = 256,
         max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
         max_inflight_batches: int = 8,
         stats: ServiceStats | None = None,
     ) -> None:
@@ -89,7 +90,6 @@ class ExplanationServer:
         self.batcher = MicroBatcher(
             max_queue_depth=max_queue_depth,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
         )
         self._serve_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
@@ -150,6 +150,9 @@ class ExplanationServer:
             received and failed.
         DeadlineExceededError
             When ``request.deadline_s`` elapses first.
+        asyncio.CancelledError
+            When the caller cancels the wait; the request counts as
+            received and cancelled.
         ServiceError
             When dispatch fails (unknown model/explainer, backend
             error, server stopped).
@@ -202,6 +205,9 @@ class ExplanationServer:
         except ServiceError:
             self.stats.n_failed += 1
             raise
+        except asyncio.CancelledError:
+            self.stats.n_cancelled += 1
+            raise
         latency_s = loop.time() - entry.enqueued_at
         self.stats.record_completion(latency_s)
         return ExplainResponse(
@@ -219,7 +225,7 @@ class ExplanationServer:
         has queued fails with a typed error and :attr:`running` turns
         false, instead of the waiters hanging on futures nothing will
         resolve."""
-        window: list[PendingRequest] = []
+        batch: list[PendingRequest] = []
         try:
             while True:
                 if len(self._dispatch_tasks) >= self.max_inflight_batches:
@@ -230,20 +236,20 @@ class ExplanationServer:
                         return_when=asyncio.FIRST_COMPLETED,
                     )
                     continue
-                window = await self.batcher.next_batch()
-                for (key, _width), entries in group_by_key(window).items():
+                batch = await self.batcher.next_batch()
+                for (key, _width), entries in group_by_key(batch).items():
                     task = asyncio.create_task(
                         self._dispatch_group(key, entries)
                     )
                     self._dispatch_tasks.add(task)
                     task.add_done_callback(self._dispatch_tasks.discard)
-                window = []
+                batch = []
         # xailint: disable=XDB005 (supervision boundary: whatever kills the batching loop must reach every waiter as a typed error)
         except Exception as exc:
             self.stats.serve_error = repr(exc)
             error = ServiceError(f"batching loop failed: {exc!r}")
             error.__cause__ = exc  # every waiter sees the traceback
-            self._fail_group(window + self.batcher.drain_nowait(), error)
+            self._fail_group(batch + self.batcher.drain_nowait(), error)
 
     async def _dispatch_group(
         self,
@@ -295,18 +301,18 @@ class ExplanationServer:
                     f"{explainer_name} on {model} returned "
                     f"{len(results)} results for {len(live)} instances"
                 )
-        except ServiceError as exc:
-            self._fail_group(live, exc)
-            return
         # xailint: disable=XDB005 (fan-out boundary: any backend failure must become a typed error on every waiter, never kill the serve loop)
         except Exception as exc:
-            self._fail_group(
-                live,
-                ServiceError(
+            self.stats.dispatch_failures.append((key, repr(exc)))
+            error = (
+                exc
+                if isinstance(exc, ServiceError)
+                else ServiceError(
                     f"dispatch failed for {explainer_name} on "
                     f"{model}: {exc!r}"
-                ),
+                )
             )
+            self._fail_group(live, error)
             return
         self.stats.merge_runtime(run_stats)
         for entry, result in zip(live, results):

@@ -12,19 +12,25 @@ counts, batch-size histogram) and "how much model work bought them?"
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from xaidb.exceptions import ValidationError
 from xaidb.runtime.stats import EvalStats
 
-__all__ = ["ServiceStats"]
+__all__ = ["ServiceStats", "MAX_DISPATCH_FAILURES"]
 
 #: Completed-request latencies kept for percentile estimation; beyond
 #: this the buffer wraps (most-recent window) so a long-running server's
 #: stats object cannot grow without bound — the same discipline the
 #: bounded coalition memo of :class:`~xaidb.runtime.GameRuntime` follows.
 DEFAULT_MAX_LATENCY_SAMPLES = 65536
+
+#: Dispatch failures kept in :attr:`ServiceStats.dispatch_failures`.
+#: Batch keys carry a digest of the client-supplied config, so the
+#: record keeps only the most recent ones; a constant, not a knob.
+MAX_DISPATCH_FAILURES = 32
 
 
 @dataclass
@@ -38,13 +44,15 @@ class ServiceStats:
         and failed (backend error, unknown model/explainer, a dead
         batching loop).  A request rejected at admission for its
         instance width counts as received and failed, so ``n_received
-        == n_completed + n_failed + n_deadline_expired`` once the
-        server is idle.
+        == n_completed + n_failed + n_deadline_expired + n_cancelled``
+        once the server is idle.
     n_shed:
         Requests rejected at the door because the queue was full.
     n_deadline_expired:
         Requests whose deadline elapsed before completion (dropped
         pre-dispatch or discarded post-dispatch).
+    n_cancelled:
+        Received requests whose caller cancelled the wait.
     n_batches:
         Dispatched micro-batches; ``batch_sizes`` histograms their
         sizes, so ``mean_batch_size`` measures how much coalescing the
@@ -57,6 +65,9 @@ class ServiceStats:
     serve_error:
         ``repr`` of the exception that ended the batching loop, or
         ``None`` while it has not died.
+    dispatch_failures:
+        The last :data:`MAX_DISPATCH_FAILURES` failed dispatches, oldest
+        first, as ``(batch key, repr(error))`` pairs.
     """
 
     n_received: int = 0
@@ -64,11 +75,15 @@ class ServiceStats:
     n_failed: int = 0
     n_shed: int = 0
     n_deadline_expired: int = 0
+    n_cancelled: int = 0
     n_batches: int = 0
     queue_depth_peak: int = 0
     batch_sizes: dict[int, int] = field(default_factory=dict)
     runtime: EvalStats = field(default_factory=EvalStats)
     serve_error: str | None = None
+    dispatch_failures: deque[tuple[tuple[str, str, str], str]] = field(
+        default_factory=lambda: deque(maxlen=MAX_DISPATCH_FAILURES)
+    )
     max_latency_samples: int = DEFAULT_MAX_LATENCY_SAMPLES
     _latencies: list[float] = field(default_factory=list, repr=False)
     _ring_next: int = field(default=0, repr=False)
@@ -142,6 +157,7 @@ class ServiceStats:
             "n_failed": int(self.n_failed),
             "n_shed": int(self.n_shed),
             "n_deadline_expired": int(self.n_deadline_expired),
+            "n_cancelled": int(self.n_cancelled),
             "n_batches": int(self.n_batches),
             "queue_depth_peak": int(self.queue_depth_peak),
             "mean_batch_size": float(self.mean_batch_size),
@@ -154,6 +170,10 @@ class ServiceStats:
             "p99_s": float(_nearest_rank(ordered, 99.0)),
             "runtime": self.runtime.as_metadata(),
             "serve_error": self.serve_error,
+            "dispatch_failures": [
+                {"key": list(key), "error": error}
+                for key, error in self.dispatch_failures
+            ],
         }
 
 

@@ -40,6 +40,7 @@ from xaidb.service import (
     UnknownExplainerError,
     UnknownModelError,
 )
+from xaidb.service.stats import MAX_DISPATCH_FAILURES
 
 SHAP_CONFIG = {"n_coalitions": 32}
 LIME_CONFIG = {"n_samples": 64}
@@ -72,7 +73,7 @@ def test_batched_responses_bitwise_equal_serial(served):
 
     async def burst():
         async with ExplanationServer(
-            dispatcher, max_batch_size=16, max_wait_s=0.05
+            dispatcher, max_batch_size=16
         ) as server:
             requests = [
                 ExplainRequest(
@@ -129,7 +130,7 @@ def test_distinct_configs_do_not_coalesce(served):
 
     async def burst():
         async with ExplanationServer(
-            dispatcher, max_batch_size=16, max_wait_s=0.05
+            dispatcher, max_batch_size=16
         ) as server:
             requests = [
                 ExplainRequest(
@@ -162,7 +163,7 @@ def test_tree_shap_backend_bitwise_equal_per_row():
 
     async def burst():
         async with ExplanationServer(
-            dispatcher, max_batch_size=16, max_wait_s=0.05
+            dispatcher, max_batch_size=16
         ) as server:
             requests = [
                 ExplainRequest(
@@ -209,7 +210,7 @@ def test_deadline_expiry_raises_typed_error():
     dispatcher = _slow_backend_dispatcher(sleep_s=0.5)
 
     async def run():
-        async with ExplanationServer(dispatcher, max_wait_s=0.0) as server:
+        async with ExplanationServer(dispatcher) as server:
             with pytest.raises(DeadlineExceededError):
                 await server.submit(
                     ExplainRequest(
@@ -236,7 +237,6 @@ def test_expired_requests_dropped_before_dispatch():
         async with ExplanationServer(
             dispatcher,
             max_batch_size=1,
-            max_wait_s=0.0,
             max_inflight_batches=1,
         ) as server:
             first = asyncio.create_task(
@@ -273,7 +273,6 @@ def test_load_shedding_rejects_with_typed_error():
             dispatcher,
             max_queue_depth=2,
             max_batch_size=1,
-            max_wait_s=0.0,
             max_inflight_batches=1,
         ) as server:
             pending = []
@@ -313,7 +312,7 @@ def test_unknown_model_and_explainer_are_typed(served):
     dispatcher, dataset, _ = served
 
     async def run():
-        async with ExplanationServer(dispatcher, max_wait_s=0.0) as server:
+        async with ExplanationServer(dispatcher) as server:
             with pytest.raises(UnknownModelError):
                 await server.submit(
                     ExplainRequest(
@@ -347,17 +346,64 @@ def test_backend_exception_wrapped_as_service_error():
         return run
 
     dispatcher.register_explainer("broken", factory)
+    request = ExplainRequest(
+        model="m", explainer="broken", instance=np.zeros(2)
+    )
 
     async def run():
-        async with ExplanationServer(dispatcher, max_wait_s=0.0) as server:
+        async with ExplanationServer(dispatcher) as server:
             with pytest.raises(ServiceError, match="backend bug"):
-                await server.submit(
-                    ExplainRequest(
-                        model="m", explainer="broken", instance=np.zeros(2)
-                    )
-                )
+                await server.submit(request)
+            return server.stats
 
-    asyncio.run(run())
+    stats = asyncio.run(run())
+    # the failure is recorded server-side with its batch key
+    assert list(stats.dispatch_failures) == [
+        (request.batch_key, "RuntimeError('backend bug')")
+    ]
+    assert stats.as_metadata()["dispatch_failures"] == [
+        {"key": list(request.batch_key), "error": "RuntimeError('backend bug')"}
+    ]
+
+
+def test_dispatch_failure_record_is_bounded():
+    """Client-chosen configs cannot grow the failure record: it keeps
+    the most recent ``MAX_DISPATCH_FAILURES``, oldest first."""
+    dispatcher = Dispatcher()
+    dispatcher.register_model("m", lambda X: np.zeros(len(X)))
+
+    def factory(entry, config):
+        def run(instances, seeds):
+            raise RuntimeError(f"bug {config['k']}")
+
+        return run
+
+    dispatcher.register_explainer("broken", factory)
+    n = MAX_DISPATCH_FAILURES + 5
+
+    async def run():
+        async with ExplanationServer(dispatcher) as server:
+            for k in range(n):
+                with pytest.raises(ServiceError):
+                    await server.submit(
+                        ExplainRequest(
+                            model="m",
+                            explainer="broken",
+                            instance=np.zeros(2),
+                            config={"k": k},
+                        )
+                    )
+            return server.stats
+
+    stats = asyncio.run(run())
+    assert stats.n_failed == n
+    recorded = [error for _, error in stats.dispatch_failures]
+    assert recorded == [
+        f"RuntimeError('bug {k}')" for k in range(5, n)
+    ]
+    assert len(stats.as_metadata()["dispatch_failures"]) == (
+        MAX_DISPATCH_FAILURES
+    )
 
 
 def test_short_backend_result_fails_the_whole_group():
@@ -384,7 +430,7 @@ def test_short_backend_result_fails_the_whole_group():
 
     async def run():
         async with ExplanationServer(
-            dispatcher, max_batch_size=16, max_wait_s=0.05
+            dispatcher, max_batch_size=16
         ) as server:
             requests = [
                 ExplainRequest(
@@ -416,7 +462,7 @@ def test_short_backend_result_fails_the_whole_group():
 
 def test_malformed_instance_fails_alone(served):
     """Three valid KernelSHAP requests and one a feature short share a
-    batching window and a batch key: the short one gets a typed
+    drained batch and a batch key: the short one gets a typed
     ServiceError, the three valid ones complete bitwise equal to serial
     ``explain``, and nothing is left pending."""
     dispatcher, dataset, predict_fn = served
@@ -432,7 +478,7 @@ def test_malformed_instance_fails_alone(served):
 
     async def run():
         async with ExplanationServer(
-            dispatcher, max_batch_size=16, max_wait_s=0.05
+            dispatcher, max_batch_size=16
         ) as server:
             requests = [request(dataset.X[i], 700 + i) for i in range(3)]
             requests.append(request(dataset.X[3][:-1], 703))
@@ -481,7 +527,6 @@ def test_stop_fails_queued_requests():
         server = ExplanationServer(
             dispatcher,
             max_batch_size=1,
-            max_wait_s=0.0,
             max_inflight_batches=1,
         )
         await server.start()
@@ -505,32 +550,115 @@ def test_stop_fails_queued_requests():
     assert sum(1 for o in outcomes if not isinstance(o, Exception)) == 1
 
 
-def test_stop_fails_the_open_batching_window():
-    """A request already drained into a batching window that is still
-    open when ``stop()`` arrives fails typed instead of hanging."""
-    dispatcher = _slow_backend_dispatcher(sleep_s=0.0)
+def _gated_dispatcher():
+    """A backend that signals ``entered`` and then blocks until ``gate``
+    is set, so later requests queue up behind it."""
+    gate, entered = threading.Event(), threading.Event()
+    dispatcher = Dispatcher()
+    dispatcher.register_model("m", lambda X: np.zeros(len(X)))
+
+    def factory(entry, config):
+        def run(instances, seeds):
+            entered.set()
+            gate.wait(timeout=5.0)
+            return [float(i) for i in range(len(instances))], None
+
+        return run
+
+    dispatcher.register_explainer("gated", factory)
+    return dispatcher, gate, entered
+
+
+async def _until(event: threading.Event, timeout: float = 5.0) -> None:
+    deadline = time.perf_counter() + timeout
+    while not event.is_set():
+        assert time.perf_counter() < deadline, "backend never entered"
+        await asyncio.sleep(0.001)
+
+
+def test_stop_fails_requests_queued_behind_a_gated_backend():
+    """``stop()`` while requests sit queued behind the one in-flight
+    dispatch: the dispatch still completes, every queued request fails
+    typed instead of hanging, and the counters reconcile."""
+    dispatcher, gate, entered = _gated_dispatcher()
 
     async def run():
-        server = ExplanationServer(dispatcher, max_wait_s=1.0)
+        server = ExplanationServer(dispatcher, max_inflight_batches=1)
         await server.start()
-        task = asyncio.create_task(
-            server.submit(
-                ExplainRequest(model="m", explainer="slow", instance=np.zeros(2))
-            )
-        )
-        await asyncio.sleep(0.1)  # the window is open and holds the request
-        await server.stop()
-        (outcome,) = await asyncio.wait_for(
-            asyncio.gather(task, return_exceptions=True), timeout=2.0
-        )
-        return outcome, server.stats
 
-    outcome, stats = asyncio.run(run())
-    assert isinstance(outcome, ServiceError)
-    assert "server stopped" in str(outcome)
-    assert stats.n_received == 1
+        def submit():
+            return asyncio.create_task(
+                server.submit(
+                    ExplainRequest(
+                        model="m", explainer="gated", instance=np.zeros(2)
+                    )
+                )
+            )
+
+        first = submit()
+        await _until(entered)
+        queued = [submit() for _ in range(4)]
+        await asyncio.sleep(0.01)
+        depth = server.batcher.depth
+        stopping = asyncio.create_task(server.stop())
+        await asyncio.sleep(0.01)  # stop() now waits on the dispatch
+        gate.set()
+        await asyncio.wait_for(stopping, timeout=5.0)
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(first, *queued, return_exceptions=True),
+            timeout=2.0,
+        )
+        return depth, outcomes, server.stats
+
+    depth, outcomes, stats = asyncio.run(run())
+    assert depth == 4
+    assert outcomes[0].result == 0.0
+    for outcome in outcomes[1:]:
+        assert isinstance(outcome, ServiceError)
+        assert "server stopped" in str(outcome)
+    assert stats.n_received == 5
+    assert stats.n_completed == 1 and stats.n_failed == 4
     assert stats.n_received == (
         stats.n_completed + stats.n_failed + stats.n_deadline_expired
+    )
+
+
+def test_cancelled_callers_are_counted():
+    """A caller that stops waiting counts as cancelled, so the counters
+    still reconcile; its batch-mate is unaffected."""
+    dispatcher, gate, entered = _gated_dispatcher()
+
+    async def run():
+        async with ExplanationServer(dispatcher) as server:
+            tasks = [
+                asyncio.create_task(
+                    server.submit(
+                        ExplainRequest(
+                            model="m", explainer="gated", instance=np.zeros(2)
+                        )
+                    )
+                )
+                for _ in range(2)
+            ]
+            await _until(entered)
+            tasks[0].cancel()
+            gate.set()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=5.0
+            )
+            return outcomes, server.stats
+
+    outcomes, stats = asyncio.run(run())
+    assert isinstance(outcomes[0], asyncio.CancelledError)
+    assert outcomes[1].result == 1.0 and outcomes[1].batch_size == 2
+    assert stats.n_received == 2
+    assert stats.n_completed == 1 and stats.n_cancelled == 1
+    assert stats.as_metadata()["n_cancelled"] == 1
+    assert stats.n_received == (
+        stats.n_completed
+        + stats.n_failed
+        + stats.n_deadline_expired
+        + stats.n_cancelled
     )
 
 
@@ -550,7 +678,7 @@ def test_dead_batching_loop_fails_every_waiter(monkeypatch):
 
     async def run():
         server = ExplanationServer(
-            dispatcher, max_batch_size=2, max_wait_s=0.05
+            dispatcher, max_batch_size=2
         )
         await server.start()
         tasks = [
@@ -585,13 +713,12 @@ def test_dead_batching_loop_fails_every_waiter(monkeypatch):
 
 def test_wrong_width_is_rejected_at_admission(served):
     """A request whose instance width differs from the registered
-    model's fails at ``submit``, before it is queued — it does not wait
-    out a batching window to fail in dispatch — and counts as received
-    and failed."""
+    model's fails at ``submit``, before it is queued — it never reaches
+    a batch or the dispatcher — and counts as received and failed."""
     dispatcher, dataset, _ = served
 
     async def run():
-        async with ExplanationServer(dispatcher, max_wait_s=5.0) as server:
+        async with ExplanationServer(dispatcher) as server:
             started = time.perf_counter()
             with pytest.raises(InstanceWidthError, match="takes"):
                 await asyncio.wait_for(
@@ -673,7 +800,7 @@ def test_key_locks_are_dropped_once_the_server_is_idle():
     dispatcher, __ = _config_recording_dispatcher(sleep_s=0.0)
 
     async def run():
-        async with ExplanationServer(dispatcher, max_wait_s=0.0) as server:
+        async with ExplanationServer(dispatcher) as server:
             outcomes = await asyncio.wait_for(
                 asyncio.gather(
                     *(
@@ -705,7 +832,7 @@ def test_one_in_flight_dispatch_per_batch_key():
 
     async def run():
         async with ExplanationServer(
-            dispatcher, max_batch_size=1, max_wait_s=0.0
+            dispatcher, max_batch_size=1
         ) as server:
             tasks = []
             for i in range(16):

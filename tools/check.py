@@ -17,18 +17,13 @@ Runs, in order, stopping at the first failure:
    bit-identical to the row-wise reference *and* meaningfully faster,
    so a perf or exactness regression in model inference cannot land
    silently either;
-5. a smoke run of the A12 serving benchmark
-   (``benchmarks/bench_a12_serving.py``, reduced sweep via
-   ``XAIDB_A12_SMOKE``) — proves the explanation server's coalesced
-   batches stay bitwise identical to the per-request serial path and
-   the closed-loop sweep completes without failures;
-6. a smoke run of the A13 numeric-lint benchmark
+5. a smoke run of the A13 numeric-lint benchmark
    (``benchmarks/bench_a13_numeric_lint.py``, reduced scan set via
    ``XAIDB_A13_SMOKE``) — proves a warm (summary-cached) scan is
    finding-for-finding identical to a cold one and that the interval
    pass really is skipped, so a cache-keying bug in the numeric tier
    cannot change verdicts silently;
-7. a smoke run of the A15 explainer-kernel benchmark
+6. a smoke run of the A15 explainer-kernel benchmark
    (``benchmarks/bench_a15_explainer_kernels.py``, reduced workloads
    via ``XAIDB_A15_SMOKE``) — proves the leaf-lane TreeSHAP batch
    path stays bitwise identical to the recursion oracle and the
@@ -38,13 +33,13 @@ Runs, in order, stopping at the first failure:
    at a time through the TreeSHAP kernel (``explain``, batch of one)
    takes longer than the per-row recursion, so a fixed per-call cost
    cannot creep back into ``explain`` silently;
-8. the tutorial's claim benches, E1–E20 and A1–A6
+7. the tutorial's claim benches, E1–E20 and A1–A6
    (``benchmarks/bench_e*.py``, ``benchmarks/bench_a01``–``a06``, see
    EXPERIMENTS.md), with ``--benchmark-disable``: each runs its workload
    once and asserts the claim it reproduces (LIME fidelity, TreeSHAP's
    polynomial runtime, the Shapley axioms, ...), so a rewrite under an
    explainer cannot break a claim silently;
-9. the worked examples (``examples/*.py``), each run as a script: a
+8. the worked examples (``examples/*.py``), each run as a script: a
    non-zero exit fails the step, so an API change that breaks a
    documented workflow cannot land silently.
 
@@ -179,18 +174,6 @@ STEPS: list[tuple[str, list[str]]] = [
         ],
     ),
     (
-        "A12 serving smoke",
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "-q",
-            "--benchmark-only",
-            "--benchmark-disable-gc",
-            str(REPO_ROOT / "benchmarks" / "bench_a12_serving.py"),
-        ],
-    ),
-    (
         "A13 numeric-lint smoke",
         [
             sys.executable,
@@ -227,10 +210,6 @@ STEPS: list[tuple[str, list[str]]] = [
 #: full 10^4 rows; the bench relaxes it below that — see its module
 #: docstring).  Respect an explicit caller override.
 _ENV.setdefault("XAIDB_A10_ROWS", "2000")
-
-#: The A12 smoke shrinks the client sweep and skips the JSON artifact
-#: write (the committed BENCH_serving.json only changes on full runs).
-_ENV.setdefault("XAIDB_A12_SMOKE", "1")
 
 #: The A13 smoke scans only the linter's own sources and skips the
 #: BENCH_lint.json write (the committed record reflects full runs).
