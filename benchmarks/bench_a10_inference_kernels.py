@@ -3,8 +3,9 @@
 Reproduced shape: perturbation explainers are *model-evaluation-bound*
 (the tutorial's central cost claim), so the rows/s of the models under
 explanation is the system's throughput ceiling.  The seed implementation
-descended trees one Python ``while`` loop per row
-(:meth:`TreeStructure.apply_row`); the fixed-depth descent kernels
+descended trees one Python ``while`` loop per row (``apply_row``, now
+the test-side oracle in ``tests/models/rowwise_oracle.py``); the
+fixed-depth descent kernels
 (:mod:`xaidb.models.tree_kernels`) replace that with a handful of
 vectorized steps over a stacked node arena:
 
@@ -31,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._tables import merge_bench_record, print_table
+from tests.models.rowwise_oracle import apply_rowwise
 from xaidb.explainers.shapley import KernelShapExplainer
 from xaidb.models import (
     DecisionTreeRegressor,
@@ -73,7 +75,7 @@ def _forest_proba_rowwise(forest, X):
     """The historical per-tree realignment loop over the row-wise apply."""
     total = np.zeros((X.shape[0], len(forest.classes_)))
     for estimator in forest.estimators_:
-        leaves = estimator.tree_.apply_rowwise(X)
+        leaves = apply_rowwise(estimator.tree_, X)
         codes = np.asarray(estimator.classes_, dtype=int)
         total[:, codes] += estimator.tree_.value[leaves]
     return total / len(forest.estimators_)
@@ -82,7 +84,7 @@ def _forest_proba_rowwise(forest, X):
 def _gbm_predict_rowwise(gbm, X):
     raw = np.full(X.shape[0], gbm.init_score_)
     for stage in gbm.trees_:
-        leaves = stage.tree_.apply_rowwise(X)
+        leaves = apply_rowwise(stage.tree_, X)
         raw += gbm.learning_rate * stage.tree_.value[leaves, 0]
     return raw
 
@@ -107,7 +109,7 @@ def compute_rows():
     tree, forest, gbm, X_eval = _fit_models()
 
     workloads = []  # (label, before_s, after_s, identical)
-    leaves_before, tree_before = _timed(tree.tree_.apply_rowwise, X_eval)
+    leaves_before, tree_before = _timed(apply_rowwise, tree.tree_, X_eval)
     leaves_after, tree_after = _timed(tree.tree_.apply, X_eval)
     workloads.append((
         "tree apply (depth<=8)", tree_before, tree_after,

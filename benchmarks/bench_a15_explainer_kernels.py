@@ -6,9 +6,9 @@ Where A10 vectorized the *models under explanation*, A15 vectorizes the
 1. leaf-lane path-dependent TreeSHAP
    (:func:`~xaidb.explainers.shapley.tree_shap_kernels.ensemble_path_dependent_shap`)
    explains 10^4 rows of a forest and a GBM >= 5x faster than the
-   retained per-row recursion
-   (:func:`~xaidb.explainers.shapley.tree.path_dependent_tree_shap`
-   summed over the explainer's terms), bit-identically (the recursion
+   per-row recursion (``path_dependent_tree_shap`` from the test oracle
+   ``tests/explainers/shapley/tree_oracle.py``, summed over the
+   explainer's terms), bit-identically (the recursion
    is timed on a subsample and extrapolated by rows/s — at 10^4 rows it
    would dominate the whole benchmark run).  The same kernel serves
    small batches: batch-of-one (``explain``) and batch-16 rows time it
@@ -38,12 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._tables import merge_bench_record, print_table
+from tests.explainers.shapley.tree_oracle import path_dependent_tree_shap
 from xaidb.explainers.shapley import (
     KernelShapExplainer,
     TreeShapExplainer,
 )
 from xaidb.explainers.shapley.coalitions import clear_design_cache
-from xaidb.explainers.shapley.tree import path_dependent_tree_shap
 from xaidb.models import (
     GradientBoostedRegressor,
     LogisticRegression,
@@ -99,7 +99,7 @@ def _fit_models():
 
 
 def _recursion(explainer, x):
-    """The retained per-row recursion summed over the explainer's terms
+    """The per-row recursion summed over the explainer's terms
     in term order — the "before" path and the exactness oracle."""
     phi = np.zeros(x.shape[0])
     for tree, leaf_values, scale in explainer.terms_:

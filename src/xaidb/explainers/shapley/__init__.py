@@ -7,12 +7,12 @@ estimators differ in how they traverse coalitions:
   validated against);
 - :mod:`sampling` — permutation-sampling Monte Carlo;
 - :mod:`kernel` — KernelSHAP's weighted-least-squares regression;
-- :mod:`tree` — TreeSHAP's polynomial-time recursion for tree ensembles,
+- :mod:`tree` — TreeSHAP's polynomial-time explainer for tree ensembles,
   plus the interventional (background-set) variant;
 - :mod:`tree_shap_kernels` — the vectorized TreeSHAP kernels behind
   :meth:`TreeShapExplainer.explain` and ``explain_batch`` (leaf lanes:
   one computation per distinct leaf hot pattern, bitwise identical to
-  the retained recursion);
+  the per-row recursion the tests keep as the oracle);
 - :mod:`qii` — Quantitative Input Influence set-based measures;
 - :mod:`causal` — asymmetric and causal Shapley values on an SCM;
 - :mod:`flow` — Shapley flow's edge-based credit assignment.
@@ -46,7 +46,6 @@ from xaidb.explainers.shapley.sampling import (
 )
 from xaidb.explainers.shapley.tree import (
     TreeShapExplainer,
-    interventional_tree_shap,
     tree_expected_value,
 )
 from xaidb.explainers.shapley.tree_shap_kernels import (
@@ -63,7 +62,6 @@ __all__ = [
     "PermutationShapleyExplainer",
     "KernelShapExplainer",
     "TreeShapExplainer",
-    "interventional_tree_shap",
     "tree_expected_value",
     "ensemble_path_dependent_shap",
     "ensemble_interventional_shap",

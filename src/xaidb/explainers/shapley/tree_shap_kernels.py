@@ -1,9 +1,11 @@
 """Vectorized TreeSHAP kernels over the packed ``EnsembleKernel`` arena.
 
-The retained recursions in :mod:`xaidb.explainers.shapley.tree` stay the
-exactness oracle — the kernels here must reproduce them bitwise
-(``np.array_equal``; signs of exact zeros may differ where the
-vectorized form adds a masked ``0.0`` the recursion skips).
+They read the arena's routing format — the self-looping step arrays and
+``is_internal`` — at internal nodes only.  The per-row recursions in
+``tests/explainers/shapley/tree_oracle.py`` are the exactness oracle —
+the kernels here must reproduce them bitwise (``np.array_equal``; signs
+of exact zeros may differ where the vectorized form adds a masked
+``0.0`` the recursion skips).
 
 **Path-dependent** (:func:`ensemble_path_dependent_shap`): *leaf lanes*.
 The Lundberg Algorithm-2 recursion visits every node for every row
@@ -75,7 +77,7 @@ and ``z`` diverge on the leaf's path, with closed-form Shapley values
 once (row-independent), then evaluates every leaf against the whole
 background set at once: per-feature match masks, coalition sizes
 ``a``/``b`` by row-wise popcount, and factorial weights from an exact
-precomputed table.  The retained recursion (normalized to the same
+precomputed table.  The per-row recursion (normalized to the same
 left-first leaf order, accumulating one fresh ``phi_z`` per background
 row) is again the oracle.
 
@@ -200,8 +202,9 @@ def _tree_groups(kernel: EnsembleKernel, n_rows: int) -> list[_LeafPlan]:
 def _build_plan(kernel: EnsembleKernel, first: int, stop: int) -> _LeafPlan:
     base = int(kernel.offsets[first])
     end = base + int(kernel.counts[first:stop].sum())
-    left, right = kernel.left[base:end] - base, kernel.right[base:end] - base
-    feature, covers = kernel.feature[base:end], kernel.covers[base:end]
+    children = kernel.step_children[2 * base : 2 * end].reshape(-1, 2) - base
+    left, right = children[:, 0], children[:, 1]
+    feature, covers = kernel.step_feature[base:end], kernel.covers[base:end]
     is_internal = kernel.is_internal[base:end]
     roots = np.asarray(kernel.offsets[first:stop], dtype=np.intp) - base
     zero = np.ones(end - base)
@@ -414,14 +417,13 @@ def _group_path_dependent(
     plan: _LeafPlan,
     X: np.ndarray,
     out: np.ndarray,
-    scales: np.ndarray,
 ) -> None:
     """One tree group over a row block: a level-synchronous pass that
     refines the rows into pattern classes and runs the lanes'
     EXTEND/UNWIND steps and leaf unwinds, then the fold."""
     n_rows, n_features = out.shape
     nodes = slice(plan.base, plan.base + plan.n_nodes)
-    feature, threshold = kernel.feature[nodes], kernel.threshold[nodes]
+    feature, threshold = kernel.step_feature[nodes], kernel.step_threshold[nodes]
     values = kernel.values[nodes]
     n_roots = plan.roots.shape[0]
     n_weights = plan.final_edge.shape[0] + 2
@@ -549,7 +551,7 @@ def _group_path_dependent(
         ).reshape(plan.n_trees, m, n_features)
         target = out[lo:hi]
         for t in range(plan.n_trees):
-            target += scales[plan.first + t] * phi[t]
+            target += kernel.scales[plan.first + t] * phi[t]
 
 
 def ensemble_path_dependent_shap(
@@ -557,37 +559,30 @@ def ensemble_path_dependent_shap(
     X: np.ndarray,
     n_features: int,
     *,
-    scales: np.ndarray | None = None,
     row_block: int = _ROW_BLOCK,
 ) -> np.ndarray:
     """Path-dependent TreeSHAP for all rows of ``X`` across every tree
     of the arena: shape ``(n_rows, n_features)``.
 
-    Bitwise identical per row to the retained recursion::
+    ``kernel`` is a :meth:`EnsembleKernel.for_terms` pack; trees are
+    scaled by its :attr:`EnsembleKernel.scales`.  Bitwise identical per
+    row to the per-row recursion of the test oracle::
 
         phi = zeros(d)
         for (tree, leaf_values, scale) in terms:
             phi += scale * path_dependent_tree_shap(tree, leaf_values, x, d)
 
-    ``scales`` defaults to the pack's :attr:`EnsembleKernel.scales`
-    (set by :meth:`EnsembleKernel.for_terms`).  Rows are processed in
-    independent blocks of ``row_block``; the result does not depend on
-    the blocking.
+    Rows are processed in independent blocks of ``row_block``; the
+    result does not depend on the blocking.
     """
     X = np.asarray(X, dtype=float)
-    if scales is None:
-        scales = kernel.scales
-    if scales is None:
-        scales = np.ones(kernel.n_trees)
     out = np.zeros((X.shape[0], n_features))
     # don't-care lanes may divide by zero or overflow; live lanes never do
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, X.shape[0], row_block):
             stop = min(start + row_block, X.shape[0])
             for plan in _tree_groups(kernel, stop - start):
-                _group_path_dependent(
-                    kernel, plan, X[start:stop], out[start:stop], scales
-                )
+                _group_path_dependent(kernel, plan, X[start:stop], out[start:stop])
     return out
 
 
@@ -618,7 +613,7 @@ def _leaf_paths(
     """Left-first DFS enumeration of one tree's leaves with their
     decision paths ``[(arena_node, went_left), ...]`` — structural,
     shared by every row."""
-    left, right = kernel.left, kernel.right
+    children = kernel.step_children
     is_internal = kernel.is_internal
     leaves: list[tuple[int, list[tuple[int, bool]]]] = []
     stack: list[tuple[int, list[tuple[int, bool]]]] = [
@@ -629,8 +624,8 @@ def _leaf_paths(
         if not is_internal[node]:
             leaves.append((node, path))
             continue
-        stack.append((int(right[node]), path + [(node, False)]))
-        stack.append((int(left[node]), path + [(node, True)]))
+        stack.append((int(children[2 * node + 1]), path + [(node, False)]))
+        stack.append((int(children[2 * node]), path + [(node, True)]))
     return leaves
 
 
@@ -638,14 +633,13 @@ def ensemble_interventional_shap(
     kernel: EnsembleKernel,
     x: np.ndarray,
     background: np.ndarray,
-    *,
-    scales: np.ndarray | None = None,
 ) -> np.ndarray:
     """Interventional TreeSHAP of ``x`` against ``background`` across
     every tree of the arena: shape ``(n_features,)``.
 
-    Bitwise identical (up to signs of exact zeros, via masked adds the
-    recursion skips) to::
+    ``kernel`` is a :meth:`EnsembleKernel.for_terms` pack.  Bitwise
+    identical (up to signs of exact zeros, via masked adds the
+    recursion skips) to the test oracle's::
 
         phi = zeros(d)
         for (tree, leaf_values, scale) in terms:
@@ -653,16 +647,13 @@ def ensemble_interventional_shap(
     """
     x = check_array(x, name="x", ndim=1)
     Z = check_array(background, name="background", ndim=2)
-    if scales is None:
-        scales = kernel.scales
-    if scales is None:
-        scales = np.ones(kernel.n_trees)
     n_background, d = Z.shape[0], x.shape[0]
-    feature, threshold = kernel.feature, kernel.threshold
+    feature, threshold = kernel.step_feature, kernel.step_threshold
+    n_nodes = kernel.is_internal.shape[0]
     internal_ids = np.flatnonzero(kernel.is_internal)
     # split outcomes for x (per node) and every background row at once
-    x_goes_left = np.zeros(kernel.left.shape[0], dtype=bool)
-    z_goes_left = np.zeros((n_background, kernel.left.shape[0]), dtype=bool)
+    x_goes_left = np.zeros(n_nodes, dtype=bool)
+    z_goes_left = np.zeros((n_background, n_nodes), dtype=bool)
     if internal_ids.size:
         x_goes_left[internal_ids] = (
             x[feature[internal_ids]] <= threshold[internal_ids]
@@ -715,9 +706,9 @@ def ensemble_interventional_shap(
                 contributions[:, f] += np.where(valid & in_a[:, j], pos, 0.0)
                 contributions[:, f] -= np.where(valid & in_b[:, j], neg, 0.0)
         # fold background rows sequentially, then trees in term order —
-        # the retained recursion's accumulation structure
+        # the recursion's accumulation structure
         phi_tree = np.zeros(d)
         for row in range(n_background):
             phi_tree += contributions[row]
-        out += float(scales[t]) * (phi_tree / n_background)
+        out += float(kernel.scales[t]) * (phi_tree / n_background)
     return out

@@ -24,7 +24,7 @@ from xaidb.models.mlp import MLPClassifier
 from xaidb.models.naive_bayes import GaussianNB
 from xaidb.models.preprocessing import StandardScaler, train_test_split
 from xaidb.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
-from xaidb.models.tree_kernels import EnsembleKernel, TreeKernel
+from xaidb.models.tree_kernels import EnsembleKernel
 
 __all__ = [
     "Model",
@@ -37,7 +37,6 @@ __all__ = [
     "DecisionTreeRegressor",
     "RandomForestClassifier",
     "RandomForestRegressor",
-    "TreeKernel",
     "EnsembleKernel",
     "GradientBoostedClassifier",
     "GradientBoostedRegressor",

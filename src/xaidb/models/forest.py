@@ -1,10 +1,10 @@
 """Random forests: bagged CART trees with per-split feature subsampling.
 
 Prediction runs on a stacked :class:`~xaidb.models.tree_kernels.
-EnsembleKernel`: all trees are packed into padded ``(n_trees,
-max_nodes)`` tensors once per fit, so one fixed-depth descent serves
-the whole forest and the per-tree class-code realignment is a
-precomputed index map instead of a Python loop per call.
+EnsembleKernel`: all trees are packed into one flat, unpadded node
+arena once per fit, so one fixed-depth descent serves the whole forest
+and the per-tree class-code realignment is a precomputed index map
+instead of a Python loop per call.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ The fitted tree is stored in flat parallel arrays (``children_left``,
 ``n_node_samples``) — the same layout sklearn and XGBoost expose — because
 white-box explainers traverse the structure directly:
 
-- TreeSHAP (:mod:`xaidb.explainers.shapley.tree`) runs its polynomial
-  recursion over these arrays, using ``n_node_samples`` as the cover;
+- TreeSHAP (:mod:`xaidb.explainers.shapley.tree`) plans its
+  polynomial-time leaf lanes over these arrays, using
+  ``n_node_samples`` as the cover;
 - logic-based sufficient reasons (:mod:`xaidb.rules.logic`) enumerate
   root-to-leaf paths;
 - GBDT influence (:mod:`xaidb.datavaluation.tree_influence`) re-estimates
@@ -25,6 +26,7 @@ import numpy as np
 
 from xaidb.exceptions import ValidationError
 from xaidb.models.base import Classifier, Regressor
+from xaidb.models.tree_kernels import EnsembleKernel
 from xaidb.utils.rng import RandomState, check_random_state
 from xaidb.utils.validation import check_array, check_fitted
 
@@ -59,38 +61,17 @@ class TreeStructure:
     def leaves(self) -> list[int]:
         return [n for n in range(self.node_count) if self.is_leaf(n)]
 
-    def apply_row(self, row: np.ndarray) -> int:
-        """Leaf index reached by one input row (the row-wise reference
-        the vectorized kernel is regression-tested against)."""
-        node = 0
-        while not self.is_leaf(node):
-            if row[self.feature[node]] <= self.threshold[node]:
-                node = self.children_left[node]
-            else:
-                node = self.children_right[node]
-        return node
-
-    def apply_rowwise(self, X: np.ndarray) -> np.ndarray:
-        """Row-at-a-time ``apply`` — retained as the exactness oracle for
-        :class:`~xaidb.models.tree_kernels.TreeKernel` (see
-        ``tests/models/test_tree_kernels.py``) and for the before/after
-        rows of benchmark A10."""
-        X = np.asarray(X, dtype=float)
-        return np.asarray([self.apply_row(row) for row in X], dtype=int)
-
     @property
-    def kernel(self):
-        """Lazily built vectorized traversal kernel.
+    def kernel(self) -> EnsembleKernel:
+        """Lazily built one-tree pack: the vectorized descent.
 
         Safe to cache: the routing arrays are immutable once the builder
-        returns (only leaf *values* are ever rewritten, by the GBM's
-        Newton step, and the kernel does not capture values).
+        returns.  Only leaf *values* are ever rewritten, by the GBM's
+        Newton step, and the pack is routing-only: it holds no values.
         """
         kernel = getattr(self, "_kernel", None)
         if kernel is None:
-            from xaidb.models.tree_kernels import TreeKernel
-
-            kernel = TreeKernel(self)
+            kernel = EnsembleKernel([self])
             self._kernel = kernel
         return kernel
 
@@ -98,8 +79,7 @@ class TreeStructure:
         """Leaf index for every row of ``X`` (fixed-depth descent — one
         vectorized step per depth level instead of one Python loop per
         row)."""
-        X = np.asarray(X, dtype=float)
-        return self.kernel.apply(X)
+        return self.kernel.apply(X)[0]
 
     def decision_path(self, row: np.ndarray) -> list[int]:
         """The node sequence from root to the leaf reached by ``row``."""
@@ -115,15 +95,7 @@ class TreeStructure:
 
     def max_depth(self) -> int:
         """Depth of the deepest leaf (root at depth 0)."""
-        depths = {0: 0}
-        best = 0
-        for node in range(self.node_count):
-            depth = depths[node]
-            best = max(best, depth)
-            if not self.is_leaf(node):
-                depths[int(self.children_left[node])] = depth + 1
-                depths[int(self.children_right[node])] = depth + 1
-        return best
+        return self.kernel.depth
 
 
 class _Builder:

@@ -112,8 +112,14 @@ class ExplanationServer:
         )
 
     async def stop(self) -> None:
-        """Stop the batching loop, let in-flight dispatches finish, and
-        fail anything still queued with a typed error."""
+        """Stop the batching loop, fail anything still queued with a
+        typed error, then let in-flight dispatches finish.
+
+        Queued callers are failed first, so none of them waits behind a
+        slow or hung backend.  A dispatch already running in a worker
+        thread cannot be cancelled, so ``stop()`` itself still returns
+        only once those threads do.
+        """
         if self._serve_task is not None:
             self._serve_task.cancel()
             try:
@@ -121,13 +127,13 @@ class ExplanationServer:
             except asyncio.CancelledError:
                 pass
             self._serve_task = None
+        for entry in self.batcher.drain_nowait():
+            if not entry.future.done():
+                entry.future.set_exception(ServiceError("server stopped"))
         if self._dispatch_tasks:
             await asyncio.gather(
                 *tuple(self._dispatch_tasks), return_exceptions=True
             )
-        for entry in self.batcher.drain_nowait():
-            if not entry.future.done():
-                entry.future.set_exception(ServiceError("server stopped"))
 
     async def __aenter__(self) -> "ExplanationServer":
         await self.start()

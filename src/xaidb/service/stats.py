@@ -16,15 +16,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from xaidb.exceptions import ValidationError
 from xaidb.runtime.stats import EvalStats
 
 __all__ = ["ServiceStats", "MAX_DISPATCH_FAILURES"]
 
-#: Completed-request latencies kept for percentile estimation; beyond
-#: this the buffer wraps (most-recent window) so a long-running server's
-#: stats object cannot grow without bound — the same discipline the
-#: bounded coalition memo of :class:`~xaidb.runtime.GameRuntime` follows.
+#: Completed-request latencies kept for percentile estimation, in one
+#: preallocated float64 ring (8 bytes a sample); beyond this the ring
+#: wraps (most-recent window) so a long-running server's stats object
+#: cannot grow without bound — the same discipline the bounded
+#: coalition memo of :class:`~xaidb.runtime.GameRuntime` follows.
 DEFAULT_MAX_LATENCY_SAMPLES = 65536
 
 #: Dispatch failures kept in :attr:`ServiceStats.dispatch_failures`.
@@ -85,8 +88,12 @@ class ServiceStats:
         default_factory=lambda: deque(maxlen=MAX_DISPATCH_FAILURES)
     )
     max_latency_samples: int = DEFAULT_MAX_LATENCY_SAMPLES
-    _latencies: list[float] = field(default_factory=list, repr=False)
-    _ring_next: int = field(default=0, repr=False)
+    _latencies: np.ndarray = field(init=False, repr=False, compare=False)
+    #: completions recorded into the ring, wrapped ones included
+    _n_recorded: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        self._latencies = np.empty(self.max_latency_samples)
 
     # ------------------------------------------------------------- record
     def observe_queue_depth(self, depth: int) -> None:
@@ -99,14 +106,13 @@ class ServiceStats:
 
     def record_completion(self, latency_s: float) -> None:
         self.n_completed += 1
-        if len(self._latencies) < self.max_latency_samples:
-            self._latencies.append(float(latency_s))
-        else:
-            # wrap: keep a most-recent window without unbounded growth
-            self._latencies[self._ring_next] = float(latency_s)
-            self._ring_next = (
-                self._ring_next + 1
-            ) % self.max_latency_samples
+        # wrap: keep a most-recent window without unbounded growth
+        self._latencies[self._n_recorded % self.max_latency_samples] = latency_s
+        self._n_recorded += 1
+
+    def _sorted_latencies(self) -> np.ndarray:
+        """The filled part of the ring, sorted."""
+        return np.sort(self._latencies[: self.n_latency_samples])
 
     # ---------------------------------------------------------- percentiles
     def percentile(self, q: float) -> float:
@@ -117,7 +123,7 @@ class ServiceStats:
         over interpolation so the reported p99 is a latency some request
         actually paid.  Returns 0.0 before any completion.
         """
-        return _nearest_rank(sorted(self._latencies), q)
+        return _nearest_rank(self._sorted_latencies(), q)
 
     @property
     def p50_s(self) -> float:
@@ -133,7 +139,7 @@ class ServiceStats:
 
     @property
     def n_latency_samples(self) -> int:
-        return len(self._latencies)
+        return min(self._n_recorded, self.max_latency_samples)
 
     @property
     def mean_batch_size(self) -> float:
@@ -150,7 +156,7 @@ class ServiceStats:
     def as_metadata(self) -> dict[str, Any]:
         """One serialisable block: serving counters + latency
         percentiles + the composed evaluation ledger."""
-        ordered = sorted(self._latencies)  # once for all three quantiles
+        ordered = self._sorted_latencies()  # once for all three quantiles
         return {
             "n_received": int(self.n_received),
             "n_completed": int(self.n_completed),
@@ -165,9 +171,9 @@ class ServiceStats:
                 str(size): int(count)
                 for size, count in sorted(self.batch_sizes.items())
             },
-            "p50_s": float(_nearest_rank(ordered, 50.0)),
-            "p95_s": float(_nearest_rank(ordered, 95.0)),
-            "p99_s": float(_nearest_rank(ordered, 99.0)),
+            "p50_s": _nearest_rank(ordered, 50.0),
+            "p95_s": _nearest_rank(ordered, 95.0),
+            "p99_s": _nearest_rank(ordered, 99.0),
             "runtime": self.runtime.as_metadata(),
             "serve_error": self.serve_error,
             "dispatch_failures": [
@@ -177,11 +183,11 @@ class ServiceStats:
         }
 
 
-def _nearest_rank(ordered: list[float], q: float) -> float:
+def _nearest_rank(ordered: np.ndarray, q: float) -> float:
     """Nearest-rank ``q``-th percentile of already-sorted samples, 0.0
     when there are none."""
     if not 0.0 < q <= 100.0:
         raise ValidationError("q must be in (0, 100]")
-    if not ordered:
+    if not len(ordered):
         return 0.0
-    return ordered[math.ceil(q / 100.0 * len(ordered)) - 1]
+    return float(ordered[math.ceil(q / 100.0 * len(ordered)) - 1])

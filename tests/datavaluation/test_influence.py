@@ -10,6 +10,8 @@ from xaidb.models import (
     LogisticRegression,
 )
 
+from ..models.rowwise_oracle import apply_row
+
 
 @pytest.fixture(scope="module")
 def logistic_setup(income):
@@ -149,7 +151,7 @@ class TestLeafRefitInfluence:
         influence = LeafRefitInfluence(model, X, y)
         tree = model.trees_[0].tree_
         point = 3
-        leaf = int(tree.apply_row(X[point]))
+        leaf = int(apply_row(tree, X[point]))
         leaves_all = tree.apply(X)
         in_leaf = np.flatnonzero(leaves_all == leaf)
         residuals = y - model.init_score_

@@ -6,7 +6,6 @@ import pytest
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley import (
     TreeShapExplainer,
-    interventional_tree_shap,
     tree_expected_value,
 )
 from xaidb.models import (
@@ -17,6 +16,9 @@ from xaidb.models import (
     RandomForestRegressor,
 )
 from xaidb.utils.combinatorics import shapley_subset_weight
+
+from ...models.rowwise_oracle import apply_row
+from .tree_oracle import interventional_tree_shap
 
 
 def brute_force_path_dependent(tree, leaf_values, x, d):
@@ -125,8 +127,8 @@ class TestInterventionalTreeShap:
         x = X[0]
         background = X[10:15]
         phi = interventional_tree_shap(model.tree_, leaf_values, x, background)
-        f_x = leaf_values[model.tree_.apply_row(x)]
-        f_bg = np.mean([leaf_values[model.tree_.apply_row(z)] for z in background])
+        f_x = leaf_values[apply_row(model.tree_, x)]
+        f_bg = np.mean([leaf_values[apply_row(model.tree_, z)] for z in background])
         assert phi.sum() == pytest.approx(f_x - f_bg, abs=1e-10)
 
     def test_matches_exact_marginal_game(self, fitted_tree):

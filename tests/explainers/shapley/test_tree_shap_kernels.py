@@ -29,7 +29,6 @@ from xaidb.explainers.shapley import (
     banzhaf_values_sampled,
     ensemble_interventional_shap,
     ensemble_path_dependent_shap,
-    interventional_tree_shap,
     shap_matrix,
 )
 from xaidb.explainers.shapley.coalitions import (
@@ -39,7 +38,7 @@ from xaidb.explainers.shapley.coalitions import (
 )
 from xaidb.exceptions import ValidationError
 from xaidb.explainers.shapley.games import Game, MarginalImputationGame
-from xaidb.explainers.shapley.tree import path_dependent_tree_shap, tree_expected_value
+from xaidb.explainers.shapley.tree import tree_expected_value
 from xaidb.models import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -55,6 +54,7 @@ from xaidb.utils.combinatorics import shapley_subset_weight
 from xaidb.utils.rng import check_random_state, spawn_seeds
 
 from .kernel_oracle import kernel_shap_reference
+from .tree_oracle import interventional_tree_shap, path_dependent_tree_shap
 
 
 # ------------------------------------------------------------------

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xaidb.exceptions import ValidationError
-from xaidb.models import EnsembleKernel, TreeKernel
+from xaidb.models import EnsembleKernel
 from xaidb.models.tree import TreeStructure
+
+from .rowwise_oracle import apply_rowwise
 
 N_FEATURES = 16
 CHAIN_DEPTH = 16
@@ -153,12 +155,12 @@ def test_descent_matches_rowwise_on_mixed_depth_packs(kinds, seed):
     rng = np.random.default_rng(seed)
     trees, X = _pack(rng, kinds)
     kernel = EnsembleKernel.for_regressors(trees)
-    want = [tree.apply_rowwise(X) for tree in trees]
+    want = [apply_rowwise(tree, X) for tree in trees]
     for name, view in _layouts(X).items():
         stacked = kernel.apply(view)
         for t, tree in enumerate(trees):
             assert np.array_equal(stacked[t] - kernel.offsets[t], want[t]), name
-            assert np.array_equal(TreeKernel(tree).apply(view), want[t]), name
+            assert np.array_equal(tree.apply(view), want[t]), name
 
 
 @settings(max_examples=20, deadline=None)
@@ -170,10 +172,10 @@ def test_descent_matches_rowwise_on_integer_rows(kinds, seed):
     kernel = EnsembleKernel.for_regressors(trees)
     stacked = kernel.apply(X)
     for t, tree in enumerate(trees):
-        want = tree.apply_rowwise(X)
+        want = apply_rowwise(tree, X)
         assert np.array_equal(stacked[t] - kernel.offsets[t], want)
-        assert np.array_equal(TreeKernel(tree).apply(X), want)
-        assert np.array_equal(TreeKernel(tree).apply(np.asfortranarray(X)), want)
+        assert np.array_equal(tree.apply(X), want)
+        assert np.array_equal(tree.apply(np.asfortranarray(X)), want)
 
 
 def test_pack_depth_and_leaf_fixed_points():
@@ -193,8 +195,20 @@ def test_pack_depth_and_leaf_fixed_points():
     assert np.array_equal(children[leaves, 0], leaves)
     assert np.array_equal(children[leaves, 1], leaves)
     internal = np.flatnonzero(kernel.is_internal)
-    assert np.array_equal(children[internal, 0], kernel.left[internal])
-    assert np.array_equal(children[internal, 1], kernel.right[internal])
+    structure_left = np.concatenate(
+        [tree.children_left + offset for tree, offset in zip(trees, kernel.offsets)]
+    )
+    structure_right = np.concatenate(
+        [tree.children_right + offset for tree, offset in zip(trees, kernel.offsets)]
+    )
+    assert np.array_equal(children[internal, 0], structure_left[internal])
+    assert np.array_equal(children[internal, 1], structure_right[internal])
+    # the single-node tree, the stump and the depth-16 chain
+    assert (
+        [tree.max_depth() for tree in trees]
+        == [EnsembleKernel([tree]).depth for tree in trees]
+        == [0, 1, CHAIN_DEPTH]
+    )
 
 
 def test_too_narrow_rows_are_rejected():
@@ -202,5 +216,5 @@ def test_too_narrow_rows_are_rejected():
     descent refuses rows narrower than the widest split instead."""
     tree = _structure([1, -1, -1], [2, -1, -1], [3, -2, -2], [0.0, -2.0, -2.0])
     with pytest.raises(ValidationError, match="at least 4 columns"):
-        TreeKernel(tree).apply(np.zeros((5, 3)))
-    assert np.array_equal(TreeKernel(_single()).apply(np.zeros((2, 0))), [0, 0])
+        tree.apply(np.zeros((5, 3)))
+    assert np.array_equal(_single().apply(np.zeros((2, 0))), [0, 0])

@@ -1,8 +1,8 @@
 """Exactness contract of the vectorized tree-inference kernels.
 
 The frontier-traversal kernels must be *bitwise* interchangeable with the
-retained row-wise reference (``TreeStructure.apply_row`` /
-``apply_rowwise``): identical leaf routing on threshold ties, NaN inputs
+row-wise reference (``apply_row`` / ``apply_rowwise`` in
+``rowwise_oracle.py``): identical leaf routing on threshold ties, NaN inputs
 and single-node trees, and accumulated ensemble outputs identical to the
 historical per-tree Python loops.
 """
@@ -20,10 +20,11 @@ from xaidb.models import (
     GradientBoostedRegressor,
     RandomForestClassifier,
     RandomForestRegressor,
-    TreeKernel,
 )
 from xaidb.models.tree import TreeStructure
 from xaidb.utils.linalg import sigmoid
+
+from .rowwise_oracle import apply_rowwise
 
 
 # ---------------------------------------------------------------- helpers
@@ -89,7 +90,7 @@ def test_random_structure_apply_bitwise_matches_rowwise(max_depth):
     for trial in range(3):
         tree = _random_structure(rng, n_features=4, max_depth=max_depth)
         X = _adversarial_rows(rng, tree, n_features=4)
-        assert np.array_equal(tree.apply(X), tree.apply_rowwise(X))
+        assert np.array_equal(tree.apply(X), apply_rowwise(tree, X))
 
 
 def test_single_node_tree_routes_everything_to_root():
@@ -97,7 +98,7 @@ def test_single_node_tree_routes_everything_to_root():
     assert tree.node_count == 1
     X = np.asarray([[1.0, 2.0, 3.0], [np.nan, np.nan, np.nan]])
     assert np.array_equal(tree.apply(X), np.zeros(2, dtype=int))
-    assert np.array_equal(tree.apply(X), tree.apply_rowwise(X))
+    assert np.array_equal(tree.apply(X), apply_rowwise(tree, X))
 
 
 def test_nan_rows_route_right_like_reference():
@@ -113,7 +114,7 @@ def test_nan_rows_route_right_like_reference():
     X = np.asarray([[np.nan], [0.5], [0.50000000001]])
     leaves = tree.apply(X)
     assert np.array_equal(leaves, [2, 1, 2])  # tie goes left, NaN right
-    assert np.array_equal(leaves, tree.apply_rowwise(X))
+    assert np.array_equal(leaves, apply_rowwise(tree, X))
 
 
 @pytest.mark.parametrize("max_depth", [1, 3, 6, None])
@@ -133,14 +134,14 @@ def test_fitted_trees_apply_matches_rowwise(max_depth):
         X_test = _adversarial_rows(rng, model.tree_, 5)
         X_test = X_test[~np.isnan(X_test).any(axis=1)]  # models reject NaN
         assert np.array_equal(
-            model.tree_.apply(X_test), model.tree_.apply_rowwise(X_test)
+            model.tree_.apply(X_test), apply_rowwise(model.tree_, X_test)
         )
 
 
 def test_kernel_is_cached_per_structure():
     tree = _random_structure(np.random.default_rng(3), 4, max_depth=4)
     assert tree.kernel is tree.kernel
-    assert isinstance(tree.kernel, TreeKernel)
+    assert isinstance(tree.kernel, EnsembleKernel)
 
 
 # ------------------------------------------------- stacked ensemble kernel
@@ -157,7 +158,7 @@ def test_ensemble_apply_matches_per_tree_kernels():
     assert stacked.shape == (len(structures), X.shape[0])
     for t, tree in enumerate(structures):
         local = stacked[t] - kernel.offsets[t]
-        assert np.array_equal(local, tree.apply_rowwise(X))
+        assert np.array_equal(local, apply_rowwise(tree, X))
         assert np.array_equal(
             kernel.leaf_values(X)[t], tree.value[local, 0]
         )
@@ -178,7 +179,7 @@ def test_forest_classifier_proba_bitwise_matches_per_tree_loop():
     # the historical per-tree realignment loop, over the row-wise oracle
     reference = np.zeros((40, len(forest.classes_)))
     for estimator in forest.estimators_:
-        leaves = estimator.tree_.apply_rowwise(X_test)
+        leaves = apply_rowwise(estimator.tree_, X_test)
         codes = np.asarray(estimator.classes_, dtype=int)
         reference[:, codes] += estimator.tree_.value[leaves]
     reference /= len(forest.estimators_)
@@ -197,7 +198,7 @@ def test_forest_regressor_bitwise_matches_per_tree_loop():
     X_test = rng.normal(size=(30, 3))
     reference = np.zeros(30)
     for estimator in forest.estimators_:
-        leaves = estimator.tree_.apply_rowwise(X_test)
+        leaves = apply_rowwise(estimator.tree_, X_test)
         reference += estimator.tree_.value[leaves, 0]
     reference /= len(forest.estimators_)
     assert np.array_equal(forest.predict(X_test), reference)
@@ -213,7 +214,7 @@ def test_gbm_regressor_bitwise_matches_stage_loop():
     X_test = rng.normal(size=(30, 3))
     reference = np.full(30, gbm.init_score_)
     for stage in gbm.trees_:
-        leaves = stage.tree_.apply_rowwise(X_test)
+        leaves = apply_rowwise(stage.tree_, X_test)
         reference += gbm.learning_rate * stage.tree_.value[leaves, 0]
     assert np.array_equal(gbm.predict(X_test), reference)
 
@@ -228,7 +229,7 @@ def test_gbm_classifier_bitwise_matches_stage_loop():
     X_test = rng.normal(size=(30, 3))
     reference = np.full(30, gbm.init_score_)
     for stage in gbm.trees_:
-        leaves = stage.tree_.apply_rowwise(X_test)
+        leaves = apply_rowwise(stage.tree_, X_test)
         reference += gbm.learning_rate * stage.tree_.value[leaves, 0]
     proba = gbm.predict_proba(X_test)[:, 1]
     assert np.array_equal(proba, sigmoid(reference))
@@ -250,6 +251,6 @@ def test_gbm_refit_resets_stage_kernel():
     reference = np.full(60, gbm.init_score_)
     for stage in gbm.trees_:
         reference += gbm.learning_rate * stage.tree_.value[
-            stage.tree_.apply_rowwise(X), 0
+            apply_rowwise(stage.tree_, X), 0
         ]
     assert np.array_equal(second, reference)

@@ -623,6 +623,59 @@ def test_stop_fails_requests_queued_behind_a_gated_backend():
     )
 
 
+def test_stop_fails_queued_requests_while_the_backend_hangs():
+    """``stop()`` fails the queue before it waits on the in-flight
+    dispatch: with the backend's gate still closed, every queued caller
+    already holds its typed error, and the counters reconcile once the
+    dispatch returns."""
+    dispatcher, gate, entered = _gated_dispatcher()
+
+    async def run():
+        server = ExplanationServer(dispatcher, max_inflight_batches=1)
+        await server.start()
+
+        def submit():
+            return asyncio.create_task(
+                server.submit(
+                    ExplainRequest(
+                        model="m", explainer="gated", instance=np.zeros(2)
+                    )
+                )
+            )
+
+        first = submit()
+        await _until(entered)
+        queued = [submit() for _ in range(4)]
+        await asyncio.sleep(0.01)
+        stopping = asyncio.create_task(server.stop())
+        try:
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*queued, return_exceptions=True), timeout=2.0
+            )
+            hung = not first.done() and not stopping.done()
+            failed_while_hung = server.stats.n_failed
+        finally:
+            gate.set()
+        await asyncio.wait_for(stopping, timeout=5.0)
+        return hung, failed_while_hung, outcomes, await first, server.stats
+
+    hung, failed_while_hung, outcomes, first, stats = asyncio.run(run())
+    assert hung
+    assert failed_while_hung == 4
+    for outcome in outcomes:
+        assert isinstance(outcome, ServiceError)
+        assert "server stopped" in str(outcome)
+    assert first.result == 0.0
+    assert stats.n_received == 5
+    assert stats.n_completed == 1 and stats.n_failed == 4
+    assert stats.n_received == (
+        stats.n_completed
+        + stats.n_failed
+        + stats.n_deadline_expired
+        + stats.n_cancelled
+    )
+
+
 def test_cancelled_callers_are_counted():
     """A caller that stops waiting counts as cancelled, so the counters
     still reconcile; its batch-mate is unaffected."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,24 @@ def test_latency_buffer_is_bounded():
     assert stats.n_completed == 20  # counter still exact
     # the window holds the most recent completions
     assert stats.percentile(100.0) == 19.0
+
+
+def test_latency_record_costs_no_memory_per_sample():
+    """The ring is preallocated: recording completions after
+    construction allocates (almost) nothing, where a list of Python
+    floats would hold ~32 bytes per sample."""
+    tracemalloc.start()
+    try:
+        stats = ServiceStats()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            stats.record_completion(i * 1e-4)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert stats.n_latency_samples == 10_000
+    assert grown < 12 * 10_000
+    assert stats.percentile(100.0) == 9_999 * 1e-4
 
 
 def test_batch_histogram_and_mean():

@@ -14,7 +14,8 @@ Runs, in order, stopping at the first failure:
 4. a smoke run of the A10 inference-kernel benchmark
    (``benchmarks/bench_a10_inference_kernels.py``, 2000 rows via
    ``XAIDB_A10_ROWS``) — proves the vectorized tree kernels stay
-   bit-identical to the row-wise reference *and* meaningfully faster,
+   bit-identical to the row-wise reference (the test-side oracle
+   ``tests/models/rowwise_oracle.py``) *and* meaningfully faster,
    so a perf or exactness regression in model inference cannot land
    silently either;
 5. a smoke run of the A13 numeric-lint benchmark
@@ -26,7 +27,8 @@ Runs, in order, stopping at the first failure:
 6. a smoke run of the A15 explainer-kernel benchmark
    (``benchmarks/bench_a15_explainer_kernels.py``, reduced workloads
    via ``XAIDB_A15_SMOKE``) — proves the leaf-lane TreeSHAP batch
-   path stays bitwise identical to the recursion oracle and the
+   path stays bitwise identical to the recursion oracle (the test-side
+   ``tests/explainers/shapley/tree_oracle.py``) and the
    stacked KernelSHAP batch to per-instance ``explain`` calls through
    cached ``make_runtime`` runtimes, both meaningfully faster,
    and gates the single-row path: the step fails if explaining one row
